@@ -1,13 +1,15 @@
 """Parallel-exploration speedup harness (experiment E12).
 
-Measures the parallel engine on a multi-hundred-attempt workload
+Measures the exploration engine on a multi-hundred-attempt workload
 (``radix-order-rank`` under ODR-strict output matching, which defeats
 the feedback shortcuts and forces a long frontier walk) and reports,
 per arm:
 
 * wall time and attempt count — with the deterministic-merge contract
   checked: every ``jobs`` arm must report the *identical* attempt count,
-  success bit and winning constraint set as the serial arm;
+  success bit and winning constraint set as the ``serial`` arm, which
+  is the engine at ``jobs=1`` (in-process, batches of one, prefix
+  resume on);
 * a cached re-walk arm — the same exploration run twice against one
   shared :class:`~repro.core.feedback.AttemptCache`, where the second
   walk answers from the cache instead of replaying;
@@ -75,7 +77,8 @@ class SpeedupArm:
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan.
     prefix_hits: int = 0
-    #: serial wall time / this arm's wall time (1.0 for the serial arm).
+    #: serial wall time / this arm's wall time (1.0 for the serial arm,
+    #: the engine at ``jobs=1``).
     speedup: float = 1.0
     #: deterministic-merge check: same attempts/success/winner as serial.
     matches_serial: bool = True
@@ -189,7 +192,8 @@ def run_speedup(
     sort_repeats: int = 400,
     obs=None,
 ) -> BenchResult:
-    """E12: serial vs pooled vs cached exploration of one workload.
+    """E12: in-process (``serial``, ``jobs=1``) vs pooled vs cached
+    exploration of one workload.
 
     :param obs: optional :class:`~repro.obs.session.ObsSession` shared by
         every arm — each arm pays the same instrumentation cost, so the
@@ -210,6 +214,7 @@ def run_speedup(
             attempts=serial_report.attempts,
             success=serial_report.success,
             wall_time_s=serial_wall,
+            prefix_hits=serial_report.prefix_hits,
         )
     )
 

@@ -1,11 +1,12 @@
-"""Exploration strategies over the unrecorded non-deterministic space.
+"""The search's shape: budget, frontier, seeding, and attempt records.
 
-:class:`FeedbackExplorer` is PRES proper: a best-first search whose
-frontier is fed by :class:`~repro.core.feedback.FeedbackGenerator`.
-:class:`RandomExplorer` is the ablation the paper's evaluation isolates —
-the sketch is still enforced, but unsuccessful attempts teach it nothing;
-it just re-rolls the unrecorded choices with a fresh seed.  With no sketch
-at all, RandomExplorer degenerates to plain stress testing.
+PRES proper is a best-first search over the unrecorded non-deterministic
+space whose :class:`Frontier` is fed by
+:class:`~repro.core.feedback.FeedbackGenerator`; the ablation the paper's
+evaluation isolates re-rolls the unrecorded choices with a fresh seed
+and learns nothing from failed attempts.  Both run on the one engine,
+:class:`~repro.core.parallel.ParallelExplorer`; this module holds what
+that engine searches with.
 """
 
 from __future__ import annotations
@@ -13,25 +14,16 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, FrozenSet, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from repro.core.constraints import ConstraintSet, OrderConstraint
+from repro.core.constraints import ConstraintSet
 from repro.core.feedback import (
     TIER_MINED,
     TIER_PLAN,
-    TIER_ROOT,
     TIER_STATIC,
     Candidate,
-    FeedbackDB,
-    FeedbackGenerator,
 )
-from repro.core.sketches import SketchKind
-from repro.obs.session import ObsSession, resolve_session
 from repro.sim.trace import Trace
-
-#: Runs one attempt under (constraints, base_seed); returns the trace and
-#: whether the recorded failure was reproduced.
-AttemptRunner = Callable[[ConstraintSet, int], Tuple[Trace, bool]]
 
 _EMPTY: ConstraintSet = frozenset()
 
@@ -62,7 +54,7 @@ class ExplorationResult:
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
     #: :mod:`repro.core.prefix`) — counted at batch assembly, so the
-    #: figure is jobs-invariant.  Always 0 for the serial explorers.
+    #: figure is jobs-invariant, the same at ``jobs=1`` as in a pool.
     prefix_hits: int = 0
     #: True when the search was cut short by a KeyboardInterrupt: the
     #: fields above describe a *partial* exploration, not a verdict.
@@ -86,13 +78,14 @@ class ExplorerConfig:
     seed_restarts: int = 16
     max_candidates_per_attempt: int = 24
     max_constraint_depth: int = 8
-    #: replay workers.  1 = serial in-process; N > 1 dispatches attempt
+    #: replay workers.  1 = in-process; N > 1 dispatches attempt
     #: batches to a process pool (see :mod:`repro.core.parallel`).
     #: Exploration results are identical for every value of ``jobs``.
     jobs: int = 1
     #: frontier candidates speculatively dispatched per batch; 0 picks
-    #: ``max(jobs, 2 * jobs)`` automatically.  ``batch_size=1`` makes the
-    #: parallel engine's schedule exactly the serial explorer's.
+    #: 1 at ``jobs=1`` and ``2 * jobs`` (doubled once attempts measure as
+    #: cheap) in a pool.  The schedule depends on this value alone, never
+    #: on ``jobs``; ``batch_size=1`` walks the frozen serial schedule.
     batch_size: int = 0
     #: collect spans for this exploration (see :mod:`repro.obs`) when no
     #: explicit :class:`~repro.obs.session.ObsSession` is passed in.
@@ -116,28 +109,23 @@ class ExplorerConfig:
 def plan_candidates(seeds: Tuple[ConstraintSet, ...]) -> List[Candidate]:
     """Wrap sanitizer plan seeds as :data:`~repro.core.feedback.TIER_PLAN`
     frontier candidates, preserving the plan's rank order."""
-    return [
-        Candidate(
-            constraints=constraints,
-            depth=len(constraints),
-            anchor_gidx=0,
-            tier=TIER_PLAN,
-            rank=rank,
-        )
-        for rank, constraints in enumerate(seeds)
-    ]
+    return _ranked(seeds, TIER_PLAN)
 
 
 def static_candidates(seeds: Tuple[ConstraintSet, ...]) -> List[Candidate]:
     """Wrap static-analyzer seeds as
     :data:`~repro.core.feedback.TIER_STATIC` frontier candidates,
     preserving the static plan's rank order."""
+    return _ranked(seeds, TIER_STATIC)
+
+
+def _ranked(seeds: Tuple[ConstraintSet, ...], tier: int) -> List[Candidate]:
     return [
         Candidate(
             constraints=constraints,
             depth=len(constraints),
             anchor_gidx=0,
-            tier=TIER_STATIC,
+            tier=tier,
             rank=rank,
         )
         for rank, constraints in enumerate(seeds)
@@ -161,10 +149,10 @@ class Frontier:
 
     With no static seeds every pop is a plain heap pop, so the mined
     exploration schedule is byte-identical to an unseeded search.  The
-    alternation is a pure function of the pop sequence, so the serial
-    and parallel engines (which assemble batches by popping this same
-    structure) produce identical schedules for a fixed ``batch_size``,
-    independent of worker count.
+    alternation is a pure function of the pop sequence, so the engine
+    (which assembles batches by popping this structure) produces
+    identical schedules for a fixed ``batch_size``, independent of
+    worker count.
     """
 
     def __init__(self) -> None:
@@ -209,83 +197,6 @@ class Frontier:
         return constraints, seed, candidate
 
 
-@dataclass(frozen=True)
-class SeededSets:
-    """The constraint sets a frontier was pre-seeded with, by origin.
-
-    Returned by :func:`seed_plan` so the success path can attribute a
-    win to the dynamic plan (``sanitize.plan_matched``) or the static
-    analyzer (``sanitize.static.matched``).
-    """
-
-    plan: FrozenSet[ConstraintSet] = frozenset()
-    static: FrozenSet[ConstraintSet] = frozenset()
-
-
-EMPTY_SEEDS = SeededSets()
-
-
-def seed_plan(push, config: "ExplorerConfig", metrics) -> SeededSets:
-    """Push the config's plan and static seeds onto a frontier (both
-    engines call this right after pushing the root empty candidate, so
-    the counters are charged at the same schedule-deterministic point
-    everywhere).
-
-    Dynamic plan seeds go first; static seeds that duplicate a dynamic
-    seed are dropped (the dynamic plan dominates).  The frontier routes
-    the surviving statics to its interleave lane (see :class:`Frontier`).
-    Returns the seeded constraint sets for the match attribution on
-    success.
-    """
-    seeded = plan_candidates(config.plan_seeds)
-    plan_sets = frozenset(c.constraints for c in seeded)
-    statics = [
-        c for c in static_candidates(config.static_seeds)
-        if c.constraints not in plan_sets
-    ]
-    for candidate in seeded:
-        push(candidate, config.base_seed)
-    for candidate in statics:
-        push(candidate, config.base_seed)
-    if seeded:
-        metrics.counter("sanitize.plan_seeded").inc(len(seeded))
-    if statics:
-        metrics.counter("sanitize.static.seeded").inc(len(statics))
-    return SeededSets(
-        plan=plan_sets,
-        static=frozenset(c.constraints for c in statics),
-    )
-
-
-def observe_plan_match(
-    metrics, plan_sets: SeededSets, winning: ConstraintSet
-) -> None:
-    """Charge ``sanitize.plan_matched`` (or ``sanitize.static.matched``)
-    when the winning constraint set was one the sanitizer (or the static
-    analyzer) pre-seeded, rather than mined feedback."""
-    if not winning:
-        return
-    if winning in plan_sets.plan:
-        metrics.counter("sanitize.plan_matched").inc()
-    elif winning in plan_sets.static:
-        metrics.counter("sanitize.static.matched").inc()
-
-
-def observe_attempt_record(metrics, record: AttemptRecord) -> None:
-    """Fold one attempt into a metrics registry — the single place both
-    the serial explorers and the parallel engine charge attempt metrics,
-    so the two code paths cannot drift apart.  Called only at
-    schedule-deterministic fold points, which is what makes counter and
-    histogram snapshots ``jobs``-invariant for a fixed ``batch_size``.
-    """
-    metrics.counter("attempts").inc()
-    metrics.counter(f"attempts_{record.outcome}").inc()
-    metrics.histogram("constraint_set_size").observe(record.n_constraints)
-    metrics.histogram("attempt_steps").observe(record.steps)
-    if record.outcome == "diverged":
-        metrics.histogram("divergence_depth").observe(record.steps)
-
-
 def _classify(trace: Trace, matched: bool) -> Tuple[str, str]:
     if matched:
         return "matched", trace.failure.describe() if trace.failure else ""
@@ -294,168 +205,3 @@ def _classify(trace: Trace, matched: bool) -> Tuple[str, str]:
     if trace.failure is not None:
         return "other_failure", trace.failure.describe()
     return "no_failure", ""
-
-
-class FeedbackExplorer:
-    """Best-first search steered by failed-attempt analysis."""
-
-    def __init__(
-        self,
-        sketch: SketchKind,
-        config: Optional[ExplorerConfig] = None,
-        obs: Optional[ObsSession] = None,
-    ):
-        self.sketch = sketch
-        self.config = config or ExplorerConfig()
-        self.obs = resolve_session(self.config, obs)
-        self.db = FeedbackDB()
-        self.generator = FeedbackGenerator(
-            sketch=sketch,
-            db=self.db,
-            max_candidates_per_attempt=self.config.max_candidates_per_attempt,
-            max_constraint_depth=self.config.max_constraint_depth,
-        )
-
-    def explore(self, runner: AttemptRunner) -> ExplorationResult:
-        """Run the search, calling ``runner`` once per replay attempt.
-
-        A ``KeyboardInterrupt`` mid-search returns the partial result
-        flagged ``interrupted`` instead of propagating — the same
-        contract the parallel engine honors.
-        """
-        result = ExplorationResult(success=False)
-        try:
-            self._search(result, runner)
-        except KeyboardInterrupt:
-            result.interrupted = True
-        result.duplicate_traces = self.db.duplicate_traces
-        self.obs.metrics.counter("duplicate_traces").inc(
-            result.duplicate_traces
-        )
-        return result
-
-    def _search(self, result: ExplorationResult, runner: AttemptRunner) -> None:
-        config = self.config
-        tracer = self.obs.tracer
-        metrics = self.obs.metrics
-        frontier = Frontier()
-        restarts_used = 0
-        push = frontier.push
-
-        push(Candidate(_EMPTY, 0, 0, tier=TIER_ROOT), config.base_seed)
-        plan_sets = seed_plan(push, config, metrics)
-
-        while result.attempt_count < config.max_attempts:
-            if not frontier:
-                restarts_used += 1
-                if restarts_used > config.seed_restarts:
-                    break
-                # A restart re-rolls every unrecorded choice: same (empty)
-                # constraint set, fresh base seed.
-                metrics.counter("seed_restarts").inc()
-                push(
-                    Candidate(_EMPTY, 0, 0, tier=TIER_ROOT),
-                    config.base_seed + restarts_used,
-                )
-                continue
-
-            constraints, seed, _ = frontier.pop()
-            if self.db.tried(constraints, seed):
-                continue
-            self.db.mark_tried(constraints, seed)
-
-            # Each serial attempt is its own batch of one, so the counter
-            # stream matches the parallel engine at ``batch_size=1``.
-            metrics.counter("batches").inc()
-            span = tracer.span(
-                "attempt", category="attempt",
-                index=result.attempt_count, seed=seed,
-                constraints=len(constraints),
-            )
-            with span:
-                trace, matched = runner(constraints, seed)
-                outcome, detail = _classify(trace, matched)
-                span.note(outcome=outcome, steps=trace.steps)
-            record = AttemptRecord(
-                index=result.attempt_count,
-                base_seed=seed,
-                n_constraints=len(constraints),
-                outcome=outcome,
-                steps=trace.steps,
-                detail=detail,
-            )
-            result.attempts.append(record)
-            observe_attempt_record(metrics, record)
-            if matched:
-                result.success = True
-                result.winning_trace = trace
-                result.winning_constraints = constraints
-                result.winning_seed = seed
-                observe_plan_match(metrics, plan_sets, constraints)
-                break
-
-            # Feedback: mine the failed attempt, even a diverged prefix.
-            if self.db.record_trace(trace):
-                mined = 0
-                for candidate in self.generator.candidates(trace, constraints):
-                    push(candidate, seed)
-                    mined += 1
-                metrics.counter("candidates_mined").inc(mined)
-            metrics.gauge("frontier_peak").max(len(frontier))
-
-
-class RandomExplorer:
-    """No feedback: re-roll the unrecorded choices every attempt."""
-
-    def __init__(
-        self,
-        sketch: SketchKind,
-        config: Optional[ExplorerConfig] = None,
-        obs: Optional[ObsSession] = None,
-    ):
-        self.sketch = sketch
-        self.config = config or ExplorerConfig()
-        self.obs = resolve_session(self.config, obs)
-
-    def explore(self, runner: AttemptRunner) -> ExplorationResult:
-        """Run the predetermined seed sequence until a match or the cap.
-
-        Like the other explorers, a ``KeyboardInterrupt`` returns the
-        partial result flagged ``interrupted``.
-        """
-        result = ExplorationResult(success=False)
-        try:
-            self._search(result, runner)
-        except KeyboardInterrupt:
-            result.interrupted = True
-        return result
-
-    def _search(self, result: ExplorationResult, runner: AttemptRunner) -> None:
-        tracer = self.obs.tracer
-        metrics = self.obs.metrics
-        for index in range(self.config.max_attempts):
-            seed = self.config.base_seed + index
-            metrics.counter("batches").inc()
-            span = tracer.span(
-                "attempt", category="attempt", index=index, seed=seed,
-                constraints=0,
-            )
-            with span:
-                trace, matched = runner(_EMPTY, seed)
-                outcome, detail = _classify(trace, matched)
-                span.note(outcome=outcome, steps=trace.steps)
-            record = AttemptRecord(
-                index=index,
-                base_seed=seed,
-                n_constraints=0,
-                outcome=outcome,
-                steps=trace.steps,
-                detail=detail,
-            )
-            result.attempts.append(record)
-            observe_attempt_record(metrics, record)
-            if matched:
-                result.success = True
-                result.winning_trace = trace
-                result.winning_seed = seed
-                break

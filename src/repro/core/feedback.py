@@ -33,16 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.hb_race import HBAnalysis, RacePair
-from repro.core.constraints import (
-    ConstraintSet,
-    EventRef,
-    OrderConstraint,
-    RefIndex,
-)
+from repro.core.constraints import ConstraintSet, OrderConstraint, RefIndex
 from repro.core.sketches import SketchKind
 from repro.sim.events import Event
 from repro.sim.ops import OpKind
@@ -173,7 +168,7 @@ class AttemptCache:
     the exploration engine skip the replay entirely and fold the memoized
     outcome back in — most valuable when the same recorded run is
     explored repeatedly (degradation-ladder rungs that rewalk an empty
-    frontier, serial-vs-parallel comparisons, benchmark reruns).
+    frontier, jobs=1-vs-pool comparisons, benchmark reruns).
 
     Keys are built by the caller via :meth:`key_for`; values are opaque
     to the cache (the engine stores its ``AttemptOutcome`` records).
@@ -352,7 +347,6 @@ class FeedbackGenerator:
     """Turns one failed attempt into ranked next-attempt candidates."""
 
     sketch: SketchKind
-    db: FeedbackDB = field(default_factory=FeedbackDB)
     max_candidates_per_attempt: int = 24
     max_constraint_depth: int = 8
 

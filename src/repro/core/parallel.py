@@ -1,14 +1,17 @@
-"""Parallel replay-attempt exploration.
+"""The replay-attempt exploration engine.
 
 The paper's pitch is that PRES trades a cheap sketch for *more replay
 attempts* — which makes attempt throughput, not single-replay latency,
 the number that matters at diagnosis time.  Every attempt is a pure
 function of ``(sketch log, constraint set, base seed)``, so attempts are
-embarrassingly parallel: :class:`ParallelExplorer` dispatches *batches*
-of frontier candidates to a ``ProcessPoolExecutor`` of replay workers,
-each of which reconstructs the machine + PIR scheduler from a pickled
-:class:`~repro.core.recorder.RecordedRun` and sends back a compact
-:class:`AttemptOutcome` (never the full trace).
+embarrassingly parallel: :class:`ParallelExplorer` pops *batches* of
+frontier candidates and evaluates them in-process (``jobs=1``, where
+batches hold one candidate) or on a ``ProcessPoolExecutor`` of replay
+workers, each of which reconstructs the machine + PIR scheduler from a
+pickled :class:`~repro.core.recorder.RecordedRun` and sends back a
+compact :class:`AttemptOutcome` (never the full trace).  It is the only
+search loop: :class:`~repro.core.reproducer.Reproducer` builds it for
+every session, with or without feedback.
 
 Deterministic merge semantics
 -----------------------------
@@ -18,8 +21,7 @@ counts would depend on core count.  The engine guarantees that by being
 batch-synchronous:
 
 1. A batch of up to ``batch_size`` candidates is popped from the frontier
-   in canonical best-first order (the same heap order the serial
-   :class:`~repro.core.explorer.FeedbackExplorer` uses).
+   in canonical best-first order (see :class:`~repro.core.explorer.Frontier`).
 2. The batch is evaluated — concurrently or not; each attempt is pure, so
    worker scheduling cannot affect any outcome.
 3. Outcomes are folded back **in pop order**: records are appended, the
@@ -28,9 +30,14 @@ batch-synchronous:
 
 Consequently the exploration schedule depends only on ``batch_size``,
 never on ``jobs``: ``jobs=1`` and ``jobs=64`` report the same winning
-schedule and the same attempt count.  With ``batch_size=1`` the engine
-degenerates to exactly the serial explorer's schedule (property-tested in
-``tests/core/test_parallel.py``).
+schedule and the same attempt count.  At ``batch_size=1`` the schedule
+is the one the retired serial explorer walked; its report signatures are
+frozen in ``tests/fixtures/serial_signatures.json`` and the engine is
+held to them at ``jobs=1`` and ``jobs=2``.
+
+Every live attempt is mined eagerly where it ran, and every attempt with
+a mined parent may resume from that parent's prefix snapshot (see
+:mod:`repro.core.prefix`) — in-process at ``jobs=1`` as in the workers.
 
 Early cancellation: once a batch's canonical-first match is known, every
 later future in the batch is cancelled and no further batches are
@@ -61,22 +68,19 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core import shm
 from repro.core.constraints import ConstraintSet, canonical_order
 from repro.core.epochs import EpochResumeBase
 from repro.core.explorer import (
-    EMPTY_SEEDS,
     AttemptRecord,
     ExplorationResult,
     ExplorerConfig,
     Frontier,
-    SeededSets,
     _classify,
-    observe_attempt_record,
-    observe_plan_match,
-    seed_plan,
+    plan_candidates,
+    static_candidates,
 )
 from repro.core.feedback import (
     TIER_ROOT,
@@ -174,6 +178,8 @@ class AttemptOutcome:
     detail: str
     steps: int
     matched: bool
+    #: :func:`~repro.core.feedback.trace_fingerprint` of the attempt;
+    #: empty for a matched attempt, which the search never dedups.
     fingerprint: str
     candidates: Tuple[Candidate, ...] = ()
     schedule: Optional[Tuple[int, ...]] = None
@@ -192,8 +198,8 @@ def run_attempt(
 ) -> Tuple[Trace, bool]:
     """One replay attempt; the single source of attempt semantics.
 
-    Shared by the serial :class:`~repro.core.reproducer.Reproducer`, the
-    in-process fast path, and pool workers, so all three cannot drift.
+    Shared by the in-process path and pool workers, so the two cannot
+    drift.
 
     ``resume``/``tree`` opt into prefix memoization: the machine starts
     from a snapshot of the parent attempt inside the candidate's safe
@@ -262,9 +268,21 @@ def evaluate_attempt(
 
     Candidate mining happens here, in the worker, so the (potentially
     large) trace never crosses the process boundary.  A matched attempt
-    skips mining — the search stops at it anyway — and carries the
-    winning schedule instead.
+    skips mining and fingerprinting — the search stops at it anyway —
+    and carries the winning schedule instead.
     """
+    return _evaluate(ctx, constraints, seed, mine, resume, tree)[0]
+
+
+def _evaluate(
+    ctx: AttemptContext,
+    constraints: ConstraintSet,
+    seed: int,
+    mine: bool,
+    resume: Optional[ResumePlan],
+    tree: Optional[PrefixTree],
+) -> Tuple[AttemptOutcome, Trace]:
+    """:func:`evaluate_attempt`, also returning the attempt's trace."""
     tracer = ctx.attempt_tracer()
     attempt_span = tracer.span(
         "attempt", category="attempt", seed=seed, constraints=len(constraints)
@@ -290,18 +308,19 @@ def evaluate_attempt(
         attempt_span.note(
             outcome=outcome, steps=trace.steps, candidates=len(candidates)
         )
-    return AttemptOutcome(
+    summary = AttemptOutcome(
         constraints=constraints,
         seed=seed,
         outcome=outcome,
         detail=detail,
         steps=trace.steps,
         matched=matched,
-        fingerprint=trace_fingerprint(trace),
+        fingerprint="" if matched else trace_fingerprint(trace),
         candidates=candidates,
         schedule=schedule,
         spans=tuple(tracer.spans),
     )
+    return summary, trace
 
 
 # -- pool worker plumbing -----------------------------------------------------
@@ -440,17 +459,16 @@ class _LeasedPool:
 
 
 class ParallelExplorer:
-    """Batch-deterministic exploration over a pool of replay workers.
+    """Batch-deterministic exploration, in-process or over a worker pool.
 
-    Drop-in peer of :class:`~repro.core.explorer.FeedbackExplorer` /
-    :class:`~repro.core.explorer.RandomExplorer` that owns its attempt
-    execution (the serial explorers are handed a runner callable; this
-    one must ship work to other processes, so it holds the
-    :class:`AttemptContext` itself).
+    The one search loop behind :class:`~repro.core.reproducer.Reproducer`.
+    It owns its attempt execution (it may ship work to other processes,
+    so it holds the :class:`AttemptContext` itself).
 
     :param use_feedback: with False, explores the predetermined seed
-        sequence of :class:`RandomExplorer` (the E5 ablation arm), still
-        batched and cached.
+        sequence ``base_seed, base_seed + 1, ...`` with no constraints and
+        no mining (the E5 ablation arm: the sketch is still enforced, but
+        failed attempts teach nothing), still batched and cached.
     :param cache: optional shared :class:`AttemptCache`; hits are folded
         without dispatching a replay.
     :param supervise: retry/deadline/rebuild policy for the worker pool
@@ -527,14 +545,19 @@ class ParallelExplorer:
         # even though OS pids are not.
         self._parent_pid = os.getpid()
         self._lanes: Dict[int, int] = {}
-        #: constraint sets seeded from the sanitizer plan and the static
-        #: analyzer (feedback mode only), for the match attribution at
-        #: fold time.
-        self._plan_sets: SeededSets = EMPTY_SEEDS
+        #: constraint sets seeded from the sanitizer plan and from the
+        #: static analyzer (feedback mode only), for the match
+        #: attribution at fold time.
+        self._plan_seeded: FrozenSet[ConstraintSet] = frozenset()
+        self._static_seeded: FrozenSet[ConstraintSet] = frozenset()
         #: prefix snapshots for attempts evaluated in this process (the
         #: inline path and supervisor fallbacks); pool workers hold their
         #: own trees (see :func:`_worker_init`).
         self._prefix_tree = PrefixTree()
+        #: ``(constraints, seed, trace)`` of the last matched attempt
+        #: evaluated in this process, so the fold can take its trace
+        #: instead of replaying the winner a second time.
+        self._local_winner: Optional[Tuple[ConstraintSet, int, Trace]] = None
         #: resume plans issued at batch assembly — the logical, jobs-
         #: invariant count the report and metrics publish (which worker
         #: physically held the snapshot is invisible by design).
@@ -557,8 +580,8 @@ class ParallelExplorer:
         configured = self.config.batch_size
         if configured > 0:
             return configured
-        # Auto: serial stays exactly serial (batch of 1 == the serial
-        # explorer's schedule); pools speculate two batches per worker —
+        # Auto: jobs=1 runs batches of one (the frozen serial
+        # schedule); pools speculate two batches per worker —
         # doubled when folded attempts measure as cheap, where dispatch
         # latency dominates and deeper speculation amortizes it.  The
         # tuning signal is virtual steps folded so far (never wall
@@ -631,12 +654,7 @@ class ParallelExplorer:
                     (self._session_token, constraints, seed, mine, resume),
                 )
             ),
-            inline=lambda constraints, seed, mine, resume=None: (
-                evaluate_attempt(
-                    self.context, constraints, seed, mine=mine,
-                    resume=resume, tree=self._prefix_tree,
-                )
-            ),
+            inline=self._evaluate_here,
             max_attempts=self.config.max_attempts,
             chaos=self.chaos,
             # Chaos verdicts key on attempt *content* in canonical
@@ -681,14 +699,7 @@ class ParallelExplorer:
         try:
             payload = pickle.dumps(self.context)
         except Exception as exc:  # unpicklable program/oracle: run inline
-            self.pool_disabled_reason = (
-                f"session is not picklable ({exc}); running attempts in-process"
-            )
-            self.obs.tracer.instant(
-                "pool-disabled", category="engine",
-                reason=self.pool_disabled_reason,
-            )
-            return None
+            return self._disable_pool(f"session is not picklable ({exc})")
         try:
             import multiprocessing
 
@@ -705,38 +716,51 @@ class ParallelExplorer:
                 # lease's workers may predate this session), and the
                 # session must not tear the executor down on its way out.
                 pool = _LeasedPool(self.lease, self.lease.acquire())
-                self.obs.metrics.gauge("parallel.warm_init_s").set(
-                    round(time.perf_counter() - started, 6)
+            else:
+                mp_context = None
+                if "fork" in multiprocessing.get_all_start_methods():
+                    # fork keeps worker hash seeds identical to the
+                    # parent's and skips re-importing the world per worker.
+                    mp_context = multiprocessing.get_context("fork")
+                pool = ProcessPoolExecutor(
+                    max_workers=self.config.jobs,
+                    mp_context=mp_context,
+                    initializer=_worker_init,
+                    initargs=(token,),
                 )
-                return pool
-            mp_context = None
-            if "fork" in multiprocessing.get_all_start_methods():
-                # fork keeps worker hash seeds identical to the parent's
-                # and skips re-importing the world per worker.
-                mp_context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs,
-                mp_context=mp_context,
-                initializer=_worker_init,
-                initargs=(token,),
-            )
-            # Gauge, not counter: wall-clock warm-up cost is environment
-            # data, exempt from the jobs-invariance contract.
-            self.obs.metrics.gauge("parallel.warm_init_s").set(
-                round(time.perf_counter() - started, 6)
-            )
-            return pool
         except Exception as exc:  # no fork/spawn support in this env
-            self.pool_disabled_reason = (
-                f"process pool unavailable ({exc}); running attempts in-process"
-            )
-            self.obs.tracer.instant(
-                "pool-disabled", category="engine",
-                reason=self.pool_disabled_reason,
-            )
-            return None
+            return self._disable_pool(f"process pool unavailable ({exc})")
+        # Gauge, not counter: wall-clock warm-up cost is environment
+        # data, exempt from the jobs-invariance contract.
+        self.obs.metrics.gauge("parallel.warm_init_s").set(
+            round(time.perf_counter() - started, 6)
+        )
+        return pool
+
+    def _disable_pool(self, why: str) -> None:
+        """Record why attempts run in-process; returns None (no pool)."""
+        self.pool_disabled_reason = f"{why}; running attempts in-process"
+        self.obs.tracer.instant(
+            "pool-disabled", category="engine", reason=self.pool_disabled_reason
+        )
+        return None
 
     # -- batch evaluation ------------------------------------------------
+
+    def _evaluate_here(
+        self,
+        constraints: ConstraintSet,
+        seed: int,
+        mine: bool,
+        resume: Optional[ResumePlan] = None,
+    ) -> AttemptOutcome:
+        """Evaluate one attempt in this process, keeping a winner's trace."""
+        outcome, trace = _evaluate(
+            self.context, constraints, seed, mine, resume, self._prefix_tree
+        )
+        if outcome.matched:
+            self._local_winner = (constraints, seed, trace)
+        return outcome
 
     def _evaluate_batch(
         self,
@@ -752,7 +776,12 @@ class ParallelExplorer:
         identical however many workers raced on it.  Execution — pooled
         with retries, or in-process — is the supervisor's business.
         """
-        return supervisor.evaluate_batch(tasks, self.use_feedback)
+        self.obs.metrics.counter("batches").inc()
+        with self.obs.tracer.span(
+            "batch", category="explore", size=len(tasks),
+            first_attempt=self._folded_attempts,
+        ):
+            return supervisor.evaluate_batch(tasks, self.use_feedback)
 
     def _cache_key(self, constraints: ConstraintSet, seed: int) -> Tuple:
         return AttemptCache.key_for(
@@ -831,14 +860,12 @@ class ParallelExplorer:
         result = ExplorationResult(success=False)
         self._partial = result
         config = self.config
-        tracer = self.obs.tracer
         metrics = self.obs.metrics
         frontier = Frontier()
         restarts_used = 0
         push = frontier.push
 
-        push(Candidate(_EMPTY, 0, 0, tier=TIER_ROOT), config.base_seed)
-        self._plan_sets = seed_plan(push, config, metrics)
+        self._seed(push)
 
         while result.attempt_count < config.max_attempts:
             # Assemble the next batch in canonical best-first order.
@@ -866,12 +893,7 @@ class ParallelExplorer:
                 )
                 continue
 
-            metrics.counter("batches").inc()
-            with tracer.span(
-                "batch", category="explore", size=len(batch),
-                first_attempt=result.attempt_count,
-            ):
-                outcomes = self._evaluate_batch(supervisor, batch)
+            outcomes = self._evaluate_batch(supervisor, batch)
             for outcome in outcomes:
                 if result.attempt_count >= config.max_attempts:
                     break  # speculative overshoot: discard deterministically
@@ -881,8 +903,38 @@ class ParallelExplorer:
         result.duplicate_traces = self.db.duplicate_traces
         return result
 
+    def _seed(self, push) -> None:
+        """Push the root candidate, then the config's plan and static seeds.
+
+        Dynamic plan seeds go first; static seeds that duplicate a
+        dynamic seed are dropped (the dynamic plan dominates).  The
+        frontier routes the surviving statics to its interleave lane
+        (see :class:`~repro.core.explorer.Frontier`).
+        """
+        config = self.config
+        metrics = self.obs.metrics
+        push(Candidate(_EMPTY, 0, 0, tier=TIER_ROOT), config.base_seed)
+        plans = plan_candidates(config.plan_seeds)
+        self._plan_seeded = frozenset(c.constraints for c in plans)
+        statics = [
+            c for c in static_candidates(config.static_seeds)
+            if c.constraints not in self._plan_seeded
+        ]
+        self._static_seeded = frozenset(c.constraints for c in statics)
+        for candidate in plans + statics:
+            push(candidate, config.base_seed)
+        if plans:
+            metrics.counter("sanitize.plan_seeded").inc(len(plans))
+        if statics:
+            metrics.counter("sanitize.static.seeded").inc(len(statics))
+
     def _fold(self, result: ExplorationResult, outcome: AttemptOutcome, push) -> bool:
-        """Merge one outcome into the running result; True when done."""
+        """Merge one outcome into the running result; True when done.
+
+        Called only in pop order, which is what makes counter and
+        histogram snapshots ``jobs``-invariant for a fixed ``batch_size``.
+        """
+        metrics = self.obs.metrics
         record = AttemptRecord(
             index=result.attempt_count,
             base_seed=outcome.seed,
@@ -892,7 +944,12 @@ class ParallelExplorer:
             detail=outcome.detail,
         )
         result.attempts.append(record)
-        observe_attempt_record(self.obs.metrics, record)
+        metrics.counter("attempts").inc()
+        metrics.counter(f"attempts_{record.outcome}").inc()
+        metrics.histogram("constraint_set_size").observe(record.n_constraints)
+        metrics.histogram("attempt_steps").observe(record.steps)
+        if record.outcome == "diverged":
+            metrics.histogram("divergence_depth").observe(record.steps)
         self._folded_attempts += 1
         self._folded_steps += outcome.steps
         if outcome.spans:
@@ -905,25 +962,20 @@ class ParallelExplorer:
             result.success = True
             result.winning_constraints = outcome.constraints
             result.winning_seed = outcome.seed
-            observe_plan_match(
-                self.obs.metrics, self._plan_sets, outcome.constraints
-            )
-            # Attempts are pure, so re-running the winner in-process
-            # reconstructs the full winning trace the workers did not ship.
-            with self.obs.tracer.span(
-                "rematerialize-winner", category="replay", seed=outcome.seed
-            ):
-                trace, matched = run_attempt(
-                    self.context, outcome.constraints, outcome.seed
-                )
-            assert matched, "winning attempt must re-match deterministically"
-            result.winning_trace = trace
+            # a pre-seeded win, rather than mined feedback, is attributed
+            # to the sanitizer plan or the static analyzer
+            winning = outcome.constraints
+            if winning and winning in self._plan_seeded:
+                metrics.counter("sanitize.plan_matched").inc()
+            elif winning and winning in self._static_seeded:
+                metrics.counter("sanitize.static.matched").inc()
+            result.winning_trace = self._winning_trace(outcome)
             result.duplicate_traces = self.db.duplicate_traces
             if self.cache is not None:
                 result.cache_hits = self.cache.hits
             return True
         if self.db.record_fingerprint(outcome.fingerprint):
-            self.obs.metrics.counter("candidates_mined").inc(
+            metrics.counter("candidates_mined").inc(
                 len(outcome.candidates)
             )
             for candidate in outcome.candidates:
@@ -932,14 +984,31 @@ class ParallelExplorer:
             result.cache_hits = self.cache.hits
         return False
 
+    def _winning_trace(self, outcome: AttemptOutcome) -> Trace:
+        """The full trace of the matched ``outcome``.
+
+        A winner evaluated in this process left its trace behind.  One
+        from a pool worker or the store did not ship it; attempts are
+        pure, so re-running the winner in-process reconstructs it.
+        """
+        local = self._local_winner
+        if local is not None and local[:2] == (outcome.constraints, outcome.seed):
+            return local[2]
+        with self.obs.tracer.span(
+            "rematerialize-winner", category="replay", seed=outcome.seed
+        ):
+            trace, matched = run_attempt(
+                self.context, outcome.constraints, outcome.seed
+            )
+        assert matched, "winning attempt must re-match deterministically"
+        return trace
+
     # -- feedback-free (ablation) search ----------------------------------
 
     def _explore_random(self, supervisor: Supervisor) -> ExplorationResult:
         result = ExplorationResult(success=False)
         self._partial = result
         config = self.config
-        tracer = self.obs.tracer
-        metrics = self.obs.metrics
         next_index = 0
         while next_index < config.max_attempts:
             size = min(self.batch_size, config.max_attempts - next_index)
@@ -948,13 +1017,7 @@ class ParallelExplorer:
                 seed = config.base_seed + next_index + offset
                 batch.append((_EMPTY, seed, self._cached(_EMPTY, seed), None))
             next_index += size
-            metrics.counter("batches").inc()
-            with tracer.span(
-                "batch", category="explore", size=len(batch),
-                first_attempt=result.attempt_count,
-            ):
-                outcomes = self._evaluate_batch(supervisor, batch)
-            for outcome in outcomes:
+            for outcome in self._evaluate_batch(supervisor, batch):
                 if self._fold(result, outcome, lambda *_: None):
                     return result
         return result

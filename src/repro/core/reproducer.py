@@ -18,32 +18,21 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import ConstraintSet
-from repro.core.explorer import (
-    AttemptRecord,
-    ExplorationResult,
-    ExplorerConfig,
-    FeedbackExplorer,
-    RandomExplorer,
-)
+from repro.core.explorer import AttemptRecord, ExplorationResult, ExplorerConfig
 from repro.core.epochs import EpochBoundary, EpochResumeBase, suffix_log
 from repro.core.feedback import AttemptCache
 from repro.core.full_replay import CompleteLog
-from repro.core.parallel import (
-    AttemptContext,
-    ParallelExplorer,
-    PoolLease,
-    run_attempt,
-)
+from repro.core.parallel import ParallelExplorer, PoolLease
 from repro.core.recorder import RecordedRun
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 from repro.core.sketchlog import derive_coarser
 from repro.errors import SimUsageError
 from repro.obs.session import ObsSession, resolve_session
 from repro.robust.supervise import SuperviseConfig
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # avoid core -> sanitize/analysis imports at runtime
     from repro.analysis.static_.model import StaticPlan
@@ -124,7 +113,8 @@ class ReproductionReport:
     #: attempts answered from the attempt cache instead of a fresh replay.
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
-    #: :mod:`repro.core.prefix`).  Jobs-invariant; 0 for serial runs.
+    #: :mod:`repro.core.prefix`).  Jobs-invariant: ``jobs=1`` resumes
+    #: in-process exactly where a pool would.
     prefix_hits: int = 0
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
@@ -233,107 +223,58 @@ class Reproducer:
         #: ODR-style strictness: besides re-triggering the failure, the
         #: attempt must reproduce the production run's observable output.
         self.match_output = match_output
-        #: shared attempt semantics: sorts each constraint set once per
-        #: session (canonical order) instead of once per replay.
-        self.context = AttemptContext(
-            recorded=recorded,
+        #: the one exploration engine; at jobs=1 it runs in-process in
+        #: batches of one (see :mod:`repro.core.parallel`).
+        self.explorer = ParallelExplorer(
+            recorded,
+            self.config,
             base_policy=base_policy,
             match_output=match_output,
-            max_candidates_per_attempt=self.config.max_candidates_per_attempt,
-            max_constraint_depth=self.config.max_constraint_depth,
+            use_feedback=use_feedback,
+            cache=cache,
+            obs=self.obs,
+            supervise=supervise,
+            chaos=chaos,
+            pool=pool,
             epoch_base=epoch_base,
         )
-        self.explorer: object
-        # Supervision and chaos live in the batch engine, so asking for
-        # either routes through it even at jobs=1 (where it runs the
-        # exact serial schedule: batch_size defaults to 1).
-        if (
-            self.config.jobs > 1
-            or self.config.batch_size > 1
-            or cache is not None
-            or supervise is not None
-            or chaos is not None
-            or pool is not None
-        ):
-            self.explorer = ParallelExplorer(
-                recorded,
-                self.config,
-                base_policy=base_policy,
-                match_output=match_output,
-                use_feedback=use_feedback,
-                cache=cache,
-                obs=self.obs,
-                supervise=supervise,
-                chaos=chaos,
-                pool=pool,
-                epoch_base=epoch_base,
-            )
-        elif use_feedback:
-            self.explorer = FeedbackExplorer(
-                recorded.sketch, self.config, obs=self.obs
-            )
-        else:
-            self.explorer = RandomExplorer(
-                recorded.sketch, self.config, obs=self.obs
-            )
 
     def run(self) -> ReproductionReport:
         """Run the exploration loop and package the outcome."""
+        metrics = self.obs.metrics
+        charges = []
         if self.plan is not None:
-            metrics = self.obs.metrics
-            metrics.counter("sanitize.races_predicted").inc(
-                len(self.plan.races)
-            )
-            metrics.counter("sanitize.deadlocks_predicted").inc(
-                len(self.plan.deadlocks)
-            )
-            metrics.counter("sanitize.atomicity_predicted").inc(
-                len(self.plan.violations)
-            )
-            metrics.counter("sanitize.plan_candidates").inc(
-                len(self.plan.candidates)
-            )
-            metrics.counter("sanitize.plan_applicable").inc(
-                len(self.config.plan_seeds)
-            )
+            plan = self.plan
+            charges += [
+                ("sanitize.races_predicted", plan.races),
+                ("sanitize.deadlocks_predicted", plan.deadlocks),
+                ("sanitize.atomicity_predicted", plan.violations),
+                ("sanitize.plan_candidates", plan.candidates),
+                ("sanitize.plan_applicable", self.config.plan_seeds),
+            ]
         if self.static_plan is not None:
-            metrics = self.obs.metrics
-            metrics.counter("sanitize.static.races").inc(
-                len(self.static_plan.races)
-            )
-            metrics.counter("sanitize.static.atomicity").inc(
-                len(self.static_plan.violations)
-            )
-            metrics.counter("sanitize.static.deadlocks").inc(
-                len(self.static_plan.deadlocks)
-            )
-            metrics.counter("sanitize.static.candidates").inc(
-                len(self.static_plan.candidates)
-            )
-            metrics.counter("sanitize.static.applicable").inc(
-                len(self.config.static_seeds)
-            )
+            plan = self.static_plan
+            charges += [
+                ("sanitize.static.races", plan.races),
+                ("sanitize.static.atomicity", plan.violations),
+                ("sanitize.static.deadlocks", plan.deadlocks),
+                ("sanitize.static.candidates", plan.candidates),
+                ("sanitize.static.applicable", self.config.static_seeds),
+            ]
+        for name, items in charges:
+            metrics.counter(name).inc(len(items))
         with self.obs.tracer.span(
             "reproduce", category="session",
             program=self.recorded.program.name,
             sketch=self.recorded.sketch.value,
         ):
-            if isinstance(self.explorer, ParallelExplorer):
-                result = self.explorer.explore()
-            else:
-                result = self.explorer.explore(self._attempt)
+            result = self.explorer.explore()
         report = self._package(result)
-        metrics = self.obs.metrics
         metrics.counter("reproductions").inc()
         if report.success:
             metrics.counter("reproductions_succeeded").inc()
             metrics.histogram("attempts_to_match").observe(report.attempts)
         return report
-
-    # -- one attempt -------------------------------------------------------
-
-    def _attempt(self, constraints: ConstraintSet, seed: int) -> Tuple[Trace, bool]:
-        return run_attempt(self.context, constraints, seed)
 
     # -- packaging ------------------------------------------------------------
 
@@ -360,23 +301,20 @@ class Reproducer:
             prefix_hits=result.prefix_hits,
             interrupted=result.interrupted,
             outcome_reason=(
-                f"interrupted after {result.attempt_count} attempt(s); "
-                "partial results only"
+                _interrupted_reason(result.attempt_count)
                 if result.interrupted else ""
             ),
         )
 
 
-def _store_cache(store: object) -> AttemptCache:
-    """A write-through persistent cache over ``store`` (a store directory
-    path or an open :class:`~repro.store.attempt_store.AttemptStore`).
+def _interrupted_reason(attempts: int) -> str:
+    return f"interrupted after {attempts} attempt(s); partial results only"
 
-    Imported lazily: ``repro.store`` builds on this module, so the
-    dependency must not run at import time.
-    """
-    from repro.store.persistent import PersistentAttemptCache
 
-    return PersistentAttemptCache(store)
+def _with_jobs(config: Optional[ExplorerConfig], jobs: Optional[int]) -> ExplorerConfig:
+    """``config`` (or the default) with ``jobs`` applied when given."""
+    config = config or ExplorerConfig()
+    return config if jobs is None else dataclasses.replace(config, jobs=jobs)
 
 
 def _resolve_store(store: object, cache: Optional[AttemptCache]) -> Tuple[
@@ -384,9 +322,12 @@ def _resolve_store(store: object, cache: Optional[AttemptCache]) -> Tuple[
 ]:
     """Turn a ``store=`` argument into the cache to use.
 
-    Returns ``(cache, close_after)``: ``close_after`` is the persistent
-    tier this call created and must close on the way out (``None`` when
-    the caller supplied the cache, or no store was requested).
+    A store (a directory path or an open
+    :class:`~repro.store.attempt_store.AttemptStore`) becomes a
+    write-through persistent cache.  Returns ``(cache, close_after)``:
+    ``close_after`` is the persistent tier this call created and must
+    close on the way out (``None`` when the caller supplied the cache,
+    or no store was requested).
     """
     if store is None:
         return cache, None
@@ -395,7 +336,10 @@ def _resolve_store(store: object, cache: Optional[AttemptCache]) -> Tuple[
             "pass either cache= or store=, not both (wrap the store in a "
             "PersistentAttemptCache to share it with an explicit cache)"
         )
-    created = _store_cache(store)
+    # Imported lazily: repro.store builds on this module.
+    from repro.store.persistent import PersistentAttemptCache
+
+    created = PersistentAttemptCache(store)
     return created, created
 
 
@@ -469,8 +413,7 @@ def reproduce(
         private one (the reproduction service lends one pool to every
         concurrent job).  Identical results either way.
     """
-    if jobs is not None:
-        config = dataclasses.replace(config or ExplorerConfig(), jobs=jobs)
+    config = _with_jobs(config, jobs)
     cache, close_after = _resolve_store(store, cache)
     if run is not None:
         if cache is not None:
@@ -493,6 +436,162 @@ def reproduce(
             close_after.close()
 
 
+# -- the rung walk -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Rung:
+    """One rung of a walk: the recorded run (carrying the rung's log) and
+    the epoch base to search from, plus how the report names the rung.
+    The walk assigns its budget and seed offset."""
+
+    recorded: RecordedRun
+    #: boundary snapshot to replay from; ``None`` replays from step 0.
+    epoch_base: Optional[EpochResumeBase]
+    #: builds the report's path entry from ``attempts=``, ``success=``,
+    #: ``entries=`` and ``reason=``.
+    entry: Callable[..., Any]
+    #: tracer span around the rung's search.
+    span: str
+    #: the report's outcome reason when this rung reproduces.
+    won: str
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """Where one kind of walk files its path and charges its metrics."""
+
+    path_field: str
+    rung_counter: str
+    budget_histogram: str = ""
+    won_counter: str = ""
+
+
+_DEGRADATION = _Ladder(
+    "degradation_path", "ladder_rungs", budget_histogram="rung_budget"
+)
+_EPOCHS = _Ladder("epoch_path", "epoch.rungs", won_counter="epoch.reproduced")
+
+
+def split_rung_budgets(total: int, rungs: int) -> List[int]:
+    """Split an attempt budget across ladder rungs without losing any.
+
+    ``total // rungs`` alone silently drops the remainder (budget 7 over
+    5 rungs used to run only 5 attempts); the remainder goes to the
+    *first* rungs — the finest sketch, or the newest epoch boundary,
+    where extra attempts are likeliest to pay off.  Rungs can receive 0
+    when the budget is smaller than the ladder; the walk skips those.
+    """
+    if rungs <= 0:
+        return []
+    base, remainder = divmod(max(0, total), rungs)
+    return [base + (1 if index < remainder else 0) for index in range(rungs)]
+
+
+def _walk(
+    recorded: RecordedRun,
+    rungs: Sequence[_Rung],
+    ladder: _Ladder,
+    exhausted: Callable[[List[Any], int], str],
+    *,
+    config: ExplorerConfig,
+    session: ObsSession,
+    cache: Optional[AttemptCache],
+    seed_backoff: int,
+    **engine: Any,
+) -> ReproductionReport:
+    """Search ``rungs`` in order until one reproduces or is interrupted.
+
+    The one rung walk behind both ladders, and a pure function of its
+    inputs: ``config.max_attempts`` splits exactly across the rungs, the
+    base seed backs off by ``seed_backoff`` per rung index, and every
+    rung shares one attempt cache (``cache``, or a fresh one), so a
+    re-walk replays nothing it has already learned.  The rungs' reports
+    merge into one (records in walk order; steps, duplicates and prefix
+    hits summed) that names ``recorded``'s sketch.  ``exhausted(path,
+    attempts)`` words the outcome when no rung reproduces; ``engine``
+    holds the :class:`Reproducer` keywords every rung shares.
+    """
+    metrics = session.metrics
+    budgets = split_rung_budgets(config.max_attempts, len(rungs))
+    shared_cache = cache if cache is not None else AttemptCache()
+    path: List[Any] = []
+    records: List[AttemptRecord] = []
+    steps = duplicates = prefix_hits = 0
+    last: Optional[ReproductionReport] = None
+    for index, (rung, budget) in enumerate(zip(rungs, budgets)):
+        if budget <= 0:
+            continue
+        metrics.counter(ladder.rung_counter).inc()
+        if ladder.budget_histogram:
+            metrics.histogram(ladder.budget_histogram).observe(budget)
+        entries = len(rung.recorded.log)
+        rung_config = dataclasses.replace(
+            config,
+            max_attempts=budget,
+            base_seed=config.base_seed + index * seed_backoff,
+        )
+        with session.tracer.span(
+            rung.span, category="ladder", budget=budget, entries=entries
+        ):
+            last = Reproducer(
+                rung.recorded, config=rung_config, cache=shared_cache,
+                obs=session, epoch_base=rung.epoch_base, **engine,
+            ).run()
+        records.extend(last.records)
+        steps += last.total_replay_steps
+        duplicates += last.duplicate_traces
+        prefix_hits += last.prefix_hits
+        path.append(
+            rung.entry(
+                attempts=last.attempts,
+                success=last.success,
+                entries=entries,
+                reason="" if last.success else _rung_failure_reason(last),
+            )
+        )
+        if last.success or last.interrupted:
+            # Ctrl-C mid-rung stops the walk with partial progress
+            # instead of burning the remaining rungs' budgets.
+            break
+    won = last is not None and last.success
+    interrupted = last is not None and last.interrupted
+    if won:
+        if ladder.won_counter:
+            metrics.counter(ladder.won_counter).inc()
+        reason = rung.won
+    elif interrupted:
+        reason = _interrupted_reason(len(records))
+    else:
+        reason = exhausted(path, len(records))
+    return ReproductionReport(
+        program_name=recorded.program.name,
+        sketch=recorded.sketch,
+        success=won,
+        attempts=len(records),
+        records=records,
+        complete_log=last.complete_log if won else None,
+        winning_constraints=last.winning_constraints if won else frozenset(),
+        total_replay_steps=steps,
+        duplicate_traces=duplicates,
+        cache_hits=shared_cache.hits,
+        prefix_hits=prefix_hits,
+        winning_sketch=rung.recorded.sketch if won else None,
+        outcome_reason=reason,
+        interrupted=interrupted,
+        **{ladder.path_field: path},
+    )
+
+
+def _rung_failure_reason(report: ReproductionReport) -> str:
+    """Summarize why one rung failed, from its attempt outcomes."""
+    outcomes: dict = {}
+    for record in report.records:
+        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
+    summary = ", ".join(f"{count}x {name}" for name, count in sorted(outcomes.items()))
+    return summary or "no attempts ran"
+
+
 # -- epoch-windowed reproduction ---------------------------------------------
 
 
@@ -513,6 +612,34 @@ def epoch_replay_ladder(recorded: RecordedRun) -> List[Optional[EpochBoundary]]:
     if timeline.truncated_entries == 0 and timeline.truncated_epochs == 0:
         ladder.append(None)
     return ladder or [None]
+
+
+def _epoch_rung(recorded: RecordedRun, boundary: Optional[EpochBoundary]) -> _Rung:
+    """The rung replaying ``recorded`` from ``boundary`` (``None``: step 0)."""
+    if boundary is None:
+        return _Rung(
+            recorded=recorded,
+            epoch_base=None,
+            entry=partial(EpochRung, 0, 0),
+            span="epoch rung full-history",
+            won="reproduced from the full history",
+        )
+    log = suffix_log(
+        recorded.log, recorded.epochs, boundary,
+        program_name=recorded.program.name, seed=recorded.seed,
+    )
+    return _Rung(
+        recorded=dataclasses.replace(recorded, log=log),
+        epoch_base=EpochResumeBase(
+            state=boundary.snapshot, step=boundary.step, epoch=boundary.epoch
+        ),
+        entry=partial(EpochRung, boundary.epoch, boundary.step),
+        span=f"epoch rung epoch {boundary.epoch}",
+        won=(
+            f"reproduced from the epoch {boundary.epoch} boundary "
+            f"(step {boundary.step})"
+        ),
+    )
 
 
 def reproduce_windowed(
@@ -557,129 +684,34 @@ def reproduce_windowed(
             cache=cache, store=store, obs=obs, supervise=supervise,
             chaos=chaos,
         )
-    base_config = config or ExplorerConfig()
-    if jobs is not None:
-        base_config = dataclasses.replace(base_config, jobs=jobs)
+    base_config = _with_jobs(config, jobs)
     session = resolve_session(base_config, obs)
     cache, close_after = _resolve_store(store, cache)
     try:
-        ladder = epoch_replay_ladder(recorded)
-        rung_logs = [
-            recorded.log if boundary is None else suffix_log(
-                recorded.log, timeline, boundary,
-                program_name=recorded.program.name, seed=recorded.seed,
-            )
-            for boundary in ladder
+        rungs = [
+            _epoch_rung(recorded, boundary)
+            for boundary in epoch_replay_ladder(recorded)
         ]
-        _expire_dropped_epochs(cache, recorded, rung_logs, session)
-        budgets = split_rung_budgets(base_config.max_attempts, len(ladder))
-        shared_cache = cache if cache is not None else AttemptCache()
-        path: List[EpochRung] = []
-        merged_records: List[AttemptRecord] = []
-        total_attempts = 0
-        total_steps = 0
-        duplicates = 0
-        cache_hits = 0
-        prefix_hits = 0
-        session.metrics.counter("epoch.replay_bases").inc(len(ladder))
-
-        for index, boundary in enumerate(ladder):
-            if budgets[index] <= 0:
-                continue
-            session.metrics.counter("epoch.rungs").inc()
-            rung_log = rung_logs[index]
-            epoch_base = None
-            if boundary is not None:
-                epoch_base = EpochResumeBase(
-                    state=boundary.snapshot,
-                    step=boundary.step,
-                    epoch=boundary.epoch,
-                )
-            rung_recorded = dataclasses.replace(recorded, log=rung_log)
-            rung_config = dataclasses.replace(
-                base_config,
-                max_attempts=budgets[index],
-                base_seed=base_config.base_seed + index * seed_backoff,
-            )
-            span_base = "full-history" if boundary is None else (
-                f"epoch {boundary.epoch}"
-            )
-            with session.tracer.span(
-                f"epoch rung {span_base}", category="ladder",
-                budget=budgets[index], entries=len(rung_log),
-            ):
-                report = Reproducer(
-                    rung_recorded,
-                    config=rung_config,
-                    use_feedback=use_feedback,
-                    base_policy=base_policy,
-                    match_output=match_output,
-                    cache=shared_cache,
-                    obs=session,
-                    supervise=supervise,
-                    chaos=chaos,
-                    epoch_base=epoch_base,
-                ).run()
-            total_attempts += report.attempts
-            total_steps += report.total_replay_steps
-            duplicates += report.duplicate_traces
-            cache_hits = shared_cache.hits
-            prefix_hits += report.prefix_hits
-            merged_records.extend(report.records)
-            path.append(
-                EpochRung(
-                    epoch=0 if boundary is None else boundary.epoch,
-                    step=0 if boundary is None else boundary.step,
-                    attempts=report.attempts,
-                    success=report.success,
-                    entries=len(rung_log),
-                    reason="" if report.success else _rung_failure_reason(report),
-                )
-            )
-            if report.interrupted or report.success:
-                reason = ""
-                if report.success:
-                    session.metrics.counter("epoch.reproduced").inc()
-                    reason = (
-                        "reproduced from the full history"
-                        if boundary is None else
-                        f"reproduced from the epoch {boundary.epoch} "
-                        f"boundary (step {boundary.step})"
-                    )
-                return dataclasses.replace(
-                    report,
-                    attempts=total_attempts,
-                    records=merged_records,
-                    total_replay_steps=total_steps,
-                    duplicate_traces=duplicates,
-                    cache_hits=cache_hits,
-                    prefix_hits=prefix_hits,
-                    epoch_path=path,
-                    outcome_reason=reason or report.outcome_reason,
-                )
-
+        _expire_dropped_epochs(
+            cache, recorded, [rung.recorded.log for rung in rungs], session
+        )
+        session.metrics.counter("epoch.replay_bases").inc(len(rungs))
         truncated = timeline.truncated_epochs > 0 or timeline.truncated_entries > 0
-        return ReproductionReport(
-            program_name=recorded.program.name,
-            sketch=recorded.sketch,
-            success=False,
-            attempts=total_attempts,
-            records=merged_records,
-            total_replay_steps=total_steps,
-            duplicate_traces=duplicates,
-            cache_hits=cache_hits,
-            prefix_hits=prefix_hits,
-            epoch_path=path,
-            outcome_reason=(
-                "exhausted the epoch ladder within "
-                f"{total_attempts} total attempt(s)"
-                + (
-                    "; the epoch window was too tight to reach full "
-                    f"history ({timeline.truncated_epochs} truncated "
-                    "epoch(s) are unreachable)"
-                    if truncated else ""
-                )
+        tail = (
+            "; the epoch window was too tight to reach full history "
+            f"({timeline.truncated_epochs} truncated epoch(s) are unreachable)"
+            if truncated else ""
+        )
+        return _walk(
+            recorded, rungs, _EPOCHS,
+            lambda path, attempts: (
+                f"exhausted the epoch ladder within {attempts} total "
+                f"attempt(s){tail}"
             ),
+            config=base_config, session=session, cache=cache,
+            seed_backoff=seed_backoff, use_feedback=use_feedback,
+            base_policy=base_policy, match_output=match_output,
+            supervise=supervise, chaos=chaos,
         )
     finally:
         if close_after is not None:
@@ -732,21 +764,6 @@ def degradation_ladder(start: SketchKind) -> List[SketchKind]:
     """
     rungs = [s for s in reversed(SKETCH_ORDER) if SketchKind.NONE.level < s.level <= start.level]
     return rungs or [SketchKind.SYNC]
-
-
-def split_rung_budgets(total: int, rungs: int) -> List[int]:
-    """Split an attempt budget across ladder rungs without losing any.
-
-    ``total // rungs`` alone silently drops the remainder (budget 7 over
-    5 rungs used to run only 5 attempts); the remainder goes to the
-    *finest* rungs — they follow the most recorded detail, so extra
-    attempts there are likeliest to pay off.  Rungs can receive 0 when
-    the budget is smaller than the ladder; callers skip those entirely.
-    """
-    if rungs <= 0:
-        return []
-    base, remainder = divmod(max(0, total), rungs)
-    return [base + (1 if index < remainder else 0) for index in range(rungs)]
 
 
 def reproduce_degraded(
@@ -809,173 +826,41 @@ def reproduce_degraded(
         (see :func:`reproduce`).
     :param chaos: optional fault injection, shared by every rung.
     """
+    base_config = _with_jobs(config, jobs)
+    rungs: List[_Rung] = []
+    log = recorded.log
+    for sketch in degradation_ladder(recorded.sketch):
+        log = derive_coarser(log, sketch)
+        rungs.append(
+            _Rung(
+                recorded=dataclasses.replace(recorded, sketch=sketch, log=log),
+                epoch_base=None,
+                entry=partial(DegradationRung, sketch),
+                span=f"rung {sketch.value}",
+                won=f"reproduced at the {sketch.value} rung" + (
+                    "" if sketch is recorded.sketch
+                    else f" (degraded from {recorded.sketch.value})"
+                ),
+            )
+        )
     cache, close_after = _resolve_store(store, cache)
     try:
-        return _degraded_walk(
-            recorded,
-            config=config,
-            use_feedback=use_feedback,
-            base_policy=base_policy,
-            match_output=match_output,
-            salvaged_entries=salvaged_entries,
-            dropped_records=dropped_records,
-            seed_backoff=seed_backoff,
-            jobs=jobs,
-            cache=cache,
-            obs=obs,
-            plan=plan,
-            static_plan=static_plan,
-            supervise=supervise,
-            chaos=chaos,
+        report = _walk(
+            recorded, rungs, _DEGRADATION,
+            lambda path, attempts: (
+                "exhausted the degradation ladder "
+                f"({' -> '.join(rung.sketch.value for rung in path)}) "
+                f"within {attempts} total attempt(s)"
+            ),
+            config=base_config, session=resolve_session(base_config, obs),
+            cache=cache, seed_backoff=seed_backoff,
+            use_feedback=use_feedback, base_policy=base_policy,
+            match_output=match_output, plan=plan, static_plan=static_plan,
+            supervise=supervise, chaos=chaos,
         )
     finally:
         if close_after is not None:
             close_after.close()
-
-
-def _degraded_walk(
-    recorded: RecordedRun,
-    *,
-    config: Optional[ExplorerConfig],
-    use_feedback: bool,
-    base_policy: str,
-    match_output: bool,
-    salvaged_entries: Optional[int],
-    dropped_records: int,
-    seed_backoff: int,
-    jobs: Optional[int],
-    cache: Optional[AttemptCache],
-    obs: Optional[ObsSession],
-    plan: Optional["ReplayPlan"],
-    static_plan: Optional["StaticPlan"],
-    supervise: Optional[SuperviseConfig],
-    chaos: object,
-) -> ReproductionReport:
-    """The ladder walk behind :func:`reproduce_degraded`."""
-    base_config = config or ExplorerConfig()
-    if jobs is not None:
-        base_config = dataclasses.replace(base_config, jobs=jobs)
-    session = resolve_session(base_config, obs)
-    rungs = degradation_ladder(recorded.sketch)
-    budgets = split_rung_budgets(base_config.max_attempts, len(rungs))
-    shared_cache = cache if cache is not None else AttemptCache()
-    path: List[DegradationRung] = []
-    merged_records: List[AttemptRecord] = []
-    total_attempts = 0
-    total_steps = 0
-    duplicates = 0
-    cache_hits = 0
-    prefix_hits = 0
-    source_log = recorded.log
-
-    for index, rung in enumerate(rungs):
-        if budgets[index] <= 0:
-            continue
-        session.metrics.counter("ladder_rungs").inc()
-        session.metrics.histogram("rung_budget").observe(budgets[index])
-        rung_log = derive_coarser(source_log, rung)
-        source_log = rung_log
-        rung_recorded = dataclasses.replace(
-            recorded, sketch=rung, log=rung_log
-        )
-        rung_config = dataclasses.replace(
-            base_config,
-            max_attempts=budgets[index],
-            base_seed=base_config.base_seed + index * seed_backoff,
-        )
-        with session.tracer.span(
-            f"rung {rung.value}", category="ladder",
-            budget=budgets[index], entries=len(rung_log),
-        ):
-            report = Reproducer(
-                rung_recorded,
-                config=rung_config,
-                use_feedback=use_feedback,
-                base_policy=base_policy,
-                match_output=match_output,
-                cache=shared_cache,
-                obs=session,
-                plan=plan,
-                static_plan=static_plan,
-                supervise=supervise,
-                chaos=chaos,
-            ).run()
-        total_attempts += report.attempts
-        total_steps += report.total_replay_steps
-        duplicates += report.duplicate_traces
-        cache_hits = shared_cache.hits
-        prefix_hits += report.prefix_hits
-        merged_records.extend(report.records)
-        path.append(
-            DegradationRung(
-                sketch=rung,
-                attempts=report.attempts,
-                success=report.success,
-                entries=len(rung_log),
-                reason="" if report.success else _rung_failure_reason(report),
-            )
-        )
-        if report.interrupted:
-            # Ctrl-C mid-rung: stop the walk and report partial progress
-            # instead of burning the remaining rungs' budgets.
-            return dataclasses.replace(
-                report,
-                sketch=recorded.sketch,
-                attempts=total_attempts,
-                records=merged_records,
-                total_replay_steps=total_steps,
-                duplicate_traces=duplicates,
-                cache_hits=cache_hits,
-                prefix_hits=prefix_hits,
-                salvaged_entries=salvaged_entries,
-                dropped_records=dropped_records,
-                degradation_path=path,
-            )
-        if report.success:
-            return dataclasses.replace(
-                report,
-                sketch=recorded.sketch,
-                attempts=total_attempts,
-                records=merged_records,
-                total_replay_steps=total_steps,
-                duplicate_traces=duplicates,
-                prefix_hits=prefix_hits,
-                salvaged_entries=salvaged_entries,
-                dropped_records=dropped_records,
-                degradation_path=path,
-                winning_sketch=rung,
-                outcome_reason=(
-                    f"reproduced at the {rung.value} rung"
-                    + ("" if rung is recorded.sketch else
-                       f" (degraded from {recorded.sketch.value})")
-                ),
-            )
-
-    return ReproductionReport(
-        program_name=recorded.program.name,
-        sketch=recorded.sketch,
-        success=False,
-        attempts=total_attempts,
-        records=merged_records,
-        total_replay_steps=total_steps,
-        duplicate_traces=duplicates,
-        cache_hits=cache_hits,
-        prefix_hits=prefix_hits,
-        salvaged_entries=salvaged_entries,
-        dropped_records=dropped_records,
-        degradation_path=path,
-        outcome_reason=(
-            "exhausted the degradation ladder "
-            f"({' -> '.join(r.sketch.value for r in path)}) within "
-            f"{total_attempts} total attempt(s)"
-        ),
+    return dataclasses.replace(
+        report, salvaged_entries=salvaged_entries, dropped_records=dropped_records
     )
-
-
-def _rung_failure_reason(report: ReproductionReport) -> str:
-    """Summarize why one rung failed, from its attempt outcomes."""
-    outcomes: dict = {}
-    for record in report.records:
-        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-    summary = ", ".join(f"{count}x {name}" for name, count in sorted(outcomes.items()))
-    return summary or "no attempts ran"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Machine, MachineConfig, Program, RandomScheduler
@@ -173,6 +176,39 @@ def find_seed(program: Program, want_failure: bool = True, limit: int = 300) -> 
         f"no seed in [0, {limit}) produced failed={want_failure} for "
         f"{program.name}"
     )
+
+
+SERIAL_SIGNATURES = Path(__file__).parent / "fixtures" / "serial_signatures.json"
+
+
+def serial_reference() -> dict:
+    """The frozen serial-explorer reference (``tools/serial_signatures.py``):
+    per-bug ``report_signature`` of the feedback and ``use_feedback=False``
+    arms at ``ExplorerConfig(max_attempts=25, batch_size=1)``, plus one
+    deterministic metrics view."""
+    return json.loads(SERIAL_SIGNATURES.read_text())
+
+
+def stub_engine(monkeypatch, runner, config, sketch, use_feedback=True):
+    """The exploration engine with ``runner(constraints, seed) -> (trace,
+    matched)`` standing in for every replay attempt.
+
+    Patches :func:`repro.core.parallel.run_attempt`, the single source of
+    attempt semantics, so the engine's own loop, mining and bookkeeping
+    run unchanged around the stub.  The recording only supplies the
+    sketch level and log identity; its program is never replayed.
+    """
+    from repro.core import parallel
+    from repro.core.recorder import record
+
+    monkeypatch.setattr(
+        parallel, "run_attempt",
+        lambda ctx, constraints, seed, resume=None, tree=None: runner(
+            constraints, seed
+        ),
+    )
+    recorded = record(order_violation_program(), sketch, seed=0)
+    return parallel.ParallelExplorer(recorded, config, use_feedback=use_feedback)
 
 
 @pytest.fixture

@@ -7,9 +7,11 @@ benchmarks cannot depend on how many cores the host happened to have.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from tests.conftest import find_seed, order_violation_program
+from tests.conftest import find_seed, order_violation_program, serial_reference
 
 from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
@@ -18,9 +20,14 @@ from repro.core.feedback import AttemptCache
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
 from repro.core.sketches import SketchKind
+from repro.robust.runs import report_signature
 from repro.sim import MachineConfig, Program
 
 BUG_IDS = [spec.bug_id for spec in all_bugs()]
+
+_REFERENCE = serial_reference()
+SERIAL = _REFERENCE["bugs"]
+SERIAL_CONFIG = _REFERENCE["config"]
 
 
 def _recorded(bug_id: str, sketch: SketchKind = SketchKind.SYNC, ncpus: int = 4):
@@ -58,42 +65,46 @@ class TestJobsEquivalence:
 
     def test_random_ablation_is_jobs_and_batch_invariant(self):
         recorded = _recorded("openldap-deadlock")
-        serial = reproduce(
-            recorded, ExplorerConfig(max_attempts=30), use_feedback=False
+        config = ExplorerConfig(max_attempts=SERIAL_CONFIG["max_attempts"])
+        batched_config = dataclasses.replace(config, batch_size=6)
+        expected = SERIAL["openldap-deadlock"]["random"]
+        inline = reproduce(recorded, config, use_feedback=False, jobs=1)
+        pooled_one = reproduce(
+            recorded, dataclasses.replace(config, batch_size=1),
+            use_feedback=False, jobs=2,
         )
         batched = reproduce(
-            recorded, ExplorerConfig(max_attempts=30, batch_size=6),
-            use_feedback=False, jobs=1,
+            recorded, batched_config, use_feedback=False, jobs=1
         )
         pooled = reproduce(
-            recorded, ExplorerConfig(max_attempts=30, batch_size=6),
-            use_feedback=False, jobs=3,
+            recorded, batched_config, use_feedback=False, jobs=3
         )
-        assert _record_keys(batched) == _record_keys(serial)
-        assert _record_keys(pooled) == _record_keys(serial)
-        assert pooled.success == serial.success
+        assert report_signature(inline) == expected
+        assert report_signature(pooled_one) == expected
+        assert _record_keys(batched) == _record_keys(inline)
+        assert _record_keys(pooled) == _record_keys(inline)
+        assert pooled.success == inline.success
 
 
 class TestSerialDegeneration:
-    """batch_size=1 is exactly the serial FeedbackExplorer's schedule."""
+    """batch_size=1 walks exactly the frozen serial explorer's schedule."""
 
     @pytest.mark.parametrize(
         "bug_id", ["pbzip2-order-free", "openldap-deadlock", "fft-order-sync"]
     )
     def test_batch_of_one_matches_serial_explorer(self, bug_id):
         recorded = _recorded(bug_id)
-        serial = reproduce(recorded, ExplorerConfig(max_attempts=40))
-        # A cache forces the ParallelExplorer path; with jobs=1 and no
-        # explicit batch_size it runs batches of exactly one.
-        engine = reproduce(
-            recorded, ExplorerConfig(max_attempts=40), cache=AttemptCache()
+        expected = SERIAL[bug_id]["feedback"]
+        # jobs=1 with no explicit batch_size runs batches of exactly one,
+        # with or without a cache in front of dispatch.
+        config = ExplorerConfig(max_attempts=SERIAL_CONFIG["max_attempts"])
+        inline = reproduce(recorded, config)
+        cached = reproduce(recorded, config, cache=AttemptCache())
+        pooled = reproduce(
+            recorded, dataclasses.replace(config, batch_size=1), jobs=2
         )
-        assert engine.success == serial.success
-        assert engine.attempts == serial.attempts
-        assert engine.winning_constraints == serial.winning_constraints
-        assert _record_keys(engine) == _record_keys(serial)
-        if serial.success:
-            assert engine.complete_log.schedule == serial.complete_log.schedule
+        for report in (inline, cached, pooled):
+            assert report_signature(report) == expected
 
 
 class TestAttemptCache:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
-from repro.core.feedback import FeedbackDB, FeedbackGenerator
+from repro.core.feedback import FeedbackGenerator
 from repro.core.parallel import AttemptContext, run_attempt
 from repro.core.prefix import (
     BASE_DEPTH,
@@ -129,7 +129,6 @@ class TestResumedTraceIdentity:
         assert tree.captures > 0, "parent run captured no snapshots"
         generator = FeedbackGenerator(
             sketch=ctx.recorded.sketch,
-            db=FeedbackDB(),
             max_candidates_per_attempt=24,
             max_constraint_depth=8,
         )
@@ -165,7 +164,6 @@ class TestResumedTraceIdentity:
         parent_captures = tree.captures
         generator = FeedbackGenerator(
             sketch=ctx.recorded.sketch,
-            db=FeedbackDB(),
             max_candidates_per_attempt=24,
             max_constraint_depth=8,
         )
@@ -193,7 +191,6 @@ class TestResumedTraceIdentity:
         parent_trace, _ = run_attempt(ctx, frozenset(), 0)
         generator = FeedbackGenerator(
             sketch=ctx.recorded.sketch,
-            db=FeedbackDB(),
             max_candidates_per_attempt=24,
             max_constraint_depth=8,
         )
@@ -220,7 +217,6 @@ class TestResumedTraceIdentity:
         parent_trace, _ = run_attempt(ctx, frozenset(), 0)
         generator = FeedbackGenerator(
             sketch=ctx.recorded.sketch,
-            db=FeedbackDB(),
             max_candidates_per_attempt=24,
             max_constraint_depth=8,
         )

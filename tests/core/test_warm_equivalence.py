@@ -1,12 +1,14 @@
-"""S3 property: serial, cold-pool, and warm-pool runs are byte-identical.
+"""S3 property: in-process, cold-pool, and warm-pool runs match the
+frozen serial reference.
 
 The warm-worker/prefix-memoization hot path must be invisible in
-reports: for every T1 bug, a serial run, a first (cold) pooled run, a
-second (warm — published session segment and worker state reused)
-pooled run, and a chaos-supervised pooled run all produce the same
-``report_signature``.  ``batch_size`` is pinned to 1 because the
-exploration schedule is a function of batch size (not of jobs); at
-batch 1 the engine's schedule is exactly the serial explorer's.
+reports: for every T1 bug, an in-process (``jobs=1``) run, a first
+(cold) pooled run, a second (warm — published session segment and
+worker state reused) pooled run, and a chaos-supervised pooled run all
+produce the ``report_signature`` the retired serial explorer produced,
+frozen in ``tests/fixtures/serial_signatures.json``.  ``batch_size`` is
+pinned to 1 because the exploration schedule is a function of batch
+size (not of jobs); at batch 1 it is exactly the serial schedule.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from repro.core.sketches import SketchKind
 from repro.robust.runs import report_signature
 from repro.robust.supervise import SuperviseConfig
 from repro.sim import MachineConfig
+
+from tests.conftest import serial_reference
+
+SERIAL = serial_reference()["bugs"]
 
 BUG_IDS = [spec.bug_id for spec in all_bugs()]
 
@@ -50,26 +56,34 @@ class TestWarmPoolEquivalence:
     @pytest.mark.parametrize("bug_id", BUG_IDS)
     def test_serial_cold_pool_warm_pool_signatures_match(self, bug_id):
         recorded = _recorded(bug_id)
-        serial = reproduce(recorded, CONFIG, jobs=1)
+        inline = reproduce(recorded, CONFIG, jobs=1)
         cold = reproduce(recorded, CONFIG, jobs=2)
         # the cold run published the session segment; this one reuses it
         warm = reproduce(recorded, CONFIG, jobs=2)
-        expected = report_signature(serial)
+        expected = SERIAL[bug_id]["feedback"]
+        assert report_signature(inline) == expected
         assert report_signature(cold) == expected
         assert report_signature(warm) == expected
         # the pooled arms really took the warm-worker path
         assert len(shm._PUBLISHED) > 0
 
+    @pytest.mark.parametrize("bug_id", BUG_IDS)
+    def test_random_arm_matches_the_serial_reference(self, bug_id):
+        recorded = _recorded(bug_id)
+        expected = SERIAL[bug_id]["random"]
+        for jobs in (1, 2):
+            report = reproduce(recorded, CONFIG, jobs=jobs, use_feedback=False)
+            assert report_signature(report) == expected, f"jobs={jobs}"
+
     @pytest.mark.parametrize("bug_id", CHAOS_BUGS)
     def test_chaos_worker_death_preserves_the_signature(self, bug_id):
         recorded = _recorded(bug_id)
-        serial = reproduce(recorded, CONFIG, jobs=1)
         chaotic = reproduce(
             recorded, CONFIG, jobs=2,
             supervise=SuperviseConfig(backoff_base=0.0),
             chaos="crash=0.06,hang=0.04,seed=11",
         )
-        assert report_signature(chaotic) == report_signature(serial)
+        assert report_signature(chaotic) == SERIAL[bug_id]["feedback"]
 
     def test_prefix_hits_are_jobs_invariant(self):
         recorded = _recorded("mysql-atom-log")

@@ -24,6 +24,8 @@ from repro.obs.metrics import (
 from repro.obs.session import ObsSession
 from repro.sim import MachineConfig
 
+from tests.conftest import serial_reference
+
 
 class TestInstruments:
     def test_counter_increments(self):
@@ -124,15 +126,6 @@ def _deterministic_view(session: ObsSession):
             "histograms": snapshot["histograms"]}
 
 
-def _strip_engine_metrics(view):
-    """Drop the parallel.* family, charged only by the batch engine."""
-    return {
-        kind: {name: value for name, value in instruments.items()
-               if not name.startswith("parallel.")}
-        for kind, instruments in view.items()
-    }
-
-
 class TestJobsInvariance:
     """Counters/histograms are identical for any jobs at fixed batch_size."""
 
@@ -151,18 +144,28 @@ class TestJobsInvariance:
         assert views[1]["counters"]["batches"] > 0
 
     def test_serial_explorer_matches_engine_at_batch_size_1(self):
-        recorded = _recorded("pbzip2-order-free")
-        serial_session = ObsSession.create(trace=False, metrics=True)
-        reproduce(recorded, ExplorerConfig(max_attempts=20),
-                  obs=serial_session)
-        engine_session = ObsSession.create(trace=False, metrics=True)
-        reproduce(recorded, ExplorerConfig(max_attempts=20, batch_size=1),
-                  jobs=2, obs=engine_session)
-        # the parallel.* family is engine bookkeeping (prefix-resume
-        # accounting) the serial explorers never charge; it is still
-        # jobs-invariant, which the jobs-1-vs-4 test above covers.
-        assert (_strip_engine_metrics(_deterministic_view(serial_session))
-                == _strip_engine_metrics(_deterministic_view(engine_session)))
+        reference = serial_reference()
+        frozen = reference["metrics"]
+        recorded = _recorded(reference["metrics_bug"])
+        config = ExplorerConfig(
+            max_attempts=reference["config"]["max_attempts"], batch_size=1
+        )
+        views = {}
+        for jobs in (1, 2):
+            session = ObsSession.create(trace=False, metrics=True)
+            reproduce(recorded, config, jobs=jobs, obs=session)
+            views[jobs] = _deterministic_view(session)
+        assert views[1] == views[2]
+        # Every instrument the frozen serial explorer charged has its
+        # value; the engine adds only its parallel.* (prefix-resume)
+        # family, which the serial explorer never charged.
+        for kind, instruments in frozen.items():
+            engine = views[1][kind]
+            assert instruments.items() <= engine.items(), kind
+            assert all(
+                name.startswith("parallel.")
+                for name in engine.keys() - instruments.keys()
+            ), kind
 
     def test_attempt_counters_split_by_outcome(self):
         recorded = _recorded("pbzip2-order-free")

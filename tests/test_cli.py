@@ -334,12 +334,12 @@ class TestResilience:
         assert "no run journal" in capsys.readouterr().err
 
     def test_interrupt_mid_exploration_exits_130(self, capsys, monkeypatch):
-        from repro.core.explorer import FeedbackExplorer
+        from repro.core.parallel import ParallelExplorer
 
-        def boom(self, result, runner):
+        def boom(self, supervisor):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(FeedbackExplorer, "_search", boom)
+        monkeypatch.setattr(ParallelExplorer, "_explore_feedback", boom)
         code = main(["reproduce", "pbzip2-order-free", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 130

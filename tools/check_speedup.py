@@ -4,11 +4,13 @@
 Reads the ``BENCH_e12.json`` written by ``pres bench e12 --json`` and
 fails (exit 1) when the parallel engine has regressed:
 
-* any arm reports ``matches_serial: false`` — the deterministic-merge
-  contract broke, which is a correctness bug whatever the wall times;
-* the ``pool jobs=4`` arm's wall speedup fell below the floor
-  (default 1.5x — the CI runner has spare cores, so the warm pool must
-  actually beat serial);
+* any arm reports ``matches_serial: false`` — it disagrees with the
+  ``serial`` arm (the engine at ``jobs=1``, in-process) on attempts,
+  success or winner: the deterministic-merge contract broke, which is
+  a correctness bug whatever the wall times;
+* the ``pool jobs=4`` arm's wall speedup over the ``serial`` arm fell
+  below the floor (default 1.5x — the CI runner has spare cores, so the
+  warm pool must actually beat the in-process engine);
 * the ``pool jobs=4`` arm made no schedule-prefix resumes
   (``prefix_hits == 0``) — the memoization path silently stopped
   engaging.
