@@ -22,7 +22,12 @@ The happens-before edges modelled (all of pthreads-on-our-simulator):
 Race state is FastTrack-flavoured: per address we keep each thread's most
 recent read and write, so a race is reported between an access and the
 latest conflicting access of every other thread — sufficient for flip
-candidates without quadratic blowup.
+candidates without quadratic blowup.  Each kept access stores only its
+epoch (its thread's own clock component), and the race test is
+FastTrack's epoch check: because every clock here is built by join and
+tick, ``prev.own <= vc[prev.tid]`` holds exactly when the full clock
+comparison ``prev.vc.leq(vc)`` does.  Memory accesses carry no sync
+edges, so the sweep handles them on an early branch.
 
 ``use_lock_edges=False`` drops the mutex edges: with no sketch at all, even
 lock-acquisition order is up for grabs during replay, so accesses ordered
@@ -84,11 +89,22 @@ _CONFLICT_KINDS = frozenset(
 _WRITE_KINDS = frozenset({OpKind.WRITE, OpKind.RMW, OpKind.CAS, OpKind.FREE})
 
 
-@dataclass
 class _Access:
-    event: Event
-    vc: VectorClock
-    held: Tuple[HeldLock, ...]
+    """One thread's latest read or write of an address.
+
+    ``own`` is the accessing thread's own component of the access's
+    vector clock — its epoch, all the race test needs (see
+    :meth:`HBAnalysis._check_access`).
+    """
+
+    __slots__ = ("event", "own", "held")
+
+    def __init__(
+        self, event: Event, own: int, held: Tuple[HeldLock, ...]
+    ) -> None:
+        self.event = event
+        self.own = own
+        self.held = held
 
 
 class HBAnalysis:
@@ -142,6 +158,8 @@ class HBAnalysis:
 
         zero = VectorClock.zero()
 
+        event_vcs = self.event_vcs
+        races = self.races
         for event in self.trace.events:
             tid = event.tid
             vc = thread_vc.get(tid, zero)
@@ -150,6 +168,18 @@ class HBAnalysis:
             if tid in pending_join:
                 vc = vc.join(pending_join.pop(tid))
             kind = event.kind
+            if kind in _CONFLICT_KINDS:
+                # Memory accesses carry no sync edges and take or release
+                # no lock: tick, then check for races.
+                vc = vc.tick(tid)
+                thread_vc[tid] = vc
+                event_vcs.append(vc)
+                if len(races) < self.max_races:
+                    self._check_access(
+                        event, vc, held.setdefault(tid, {}), reads, writes,
+                        region_addrs,
+                    )
+                continue
             if kind is OpKind.LOCK and self.use_lock_edges:
                 vc = vc.join(mutex_vc.get(event.obj, zero))
             elif kind is OpKind.TRYLOCK and event.value and self.use_lock_edges:
@@ -174,7 +204,7 @@ class HBAnalysis:
 
             vc = vc.tick(tid)
             thread_vc[tid] = vc
-            self.event_vcs.append(vc)
+            event_vcs.append(vc)
 
             # Lockset maintenance ------------------------------------------------
             tid_held = held.setdefault(tid, {})
@@ -227,12 +257,6 @@ class HBAnalysis:
                 if chan is not None:
                     channel_sends.setdefault(chan, []).append(vc)
 
-            # Race detection ------------------------------------------------------
-            if kind in _CONFLICT_KINDS and len(self.races) < self.max_races:
-                self._check_access(
-                    event, vc, tid_held, reads, writes, region_addrs
-                )
-
     @staticmethod
     def _channel_of(event: Event) -> Optional[str]:
         """Channel name of a send/recv/try_recv event (first syscall arg)."""
@@ -250,8 +274,8 @@ class HBAnalysis:
         region_addrs: Dict[Address, Set[Address]],
     ) -> None:
         addr = event.addr
-        held_now = tuple(sorted(tid_held.items()))
-        access = _Access(event, vc, held_now)
+        tid = event.tid
+        held_now = tuple(sorted(tid_held.items())) if tid_held else ()
         is_write = event.kind in _WRITE_KINDS
 
         # Addresses this access conflicts with: itself, plus the whole
@@ -267,13 +291,15 @@ class HBAnalysis:
         # Deterministic iteration: set order depends on PYTHONHASHSEED,
         # and race *ordering* feeds candidate ranking, which must be
         # reproducible across processes.
-        for target in sorted(targets, key=repr):
+        if len(targets) > 1:
+            targets = sorted(targets, key=repr)
+        for target in targets:
             histories = [writes.get(target, {})]
             if is_write:
                 histories.append(reads.get(target, {}))
             for history in histories:
                 for other_tid, prev in history.items():
-                    if other_tid == event.tid:
+                    if other_tid == tid:
                         continue
                     if target != addr and not (
                         prev.event.kind is OpKind.FREE
@@ -281,7 +307,12 @@ class HBAnalysis:
                     ):
                         # Cross-address conflicts only involve region frees.
                         continue
-                    if not prev.vc.leq(vc):
+                    # The epoch check: equivalent to ``prev.vc.leq(vc)``
+                    # because thread t's clock at own component c is the
+                    # clock of t's c-th event, and clocks only grow by
+                    # join and tick, so any clock whose t-component
+                    # reaches c dominates that event's whole clock.
+                    if prev.own > vc.get(other_tid):
                         self.races.append(
                             RacePair(
                                 first=prev.event,
@@ -295,7 +326,7 @@ class HBAnalysis:
                             return
 
         table = writes if is_write else reads
-        table.setdefault(addr, {})[event.tid] = access
+        table.setdefault(addr, {})[tid] = _Access(event, vc.get(tid), held_now)
         if region != addr:
             region_addrs.setdefault(region, set()).add(addr)
 

@@ -25,11 +25,18 @@ class VectorClock:
     def get(self, tid: int) -> int:
         return self._clocks.get(tid, 0)
 
+    @classmethod
+    def _trusted(cls, clocks: Dict[int, int]) -> "VectorClock":
+        """Wrap a dict already known to hold only positive entries."""
+        vc = cls.__new__(cls)
+        vc._clocks = clocks
+        return vc
+
     def tick(self, tid: int) -> "VectorClock":
         """Advance one component (a thread performing a step)."""
         clocks = dict(self._clocks)
         clocks[tid] = clocks.get(tid, 0) + 1
-        return VectorClock(clocks)
+        return VectorClock._trusted(clocks)
 
     def join(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum — acquiring another clock's knowledge."""
@@ -37,7 +44,7 @@ class VectorClock:
         for tid, ts in other._clocks.items():
             if ts > clocks.get(tid, 0):
                 clocks[tid] = ts
-        return VectorClock(clocks)
+        return VectorClock._trusted(clocks)
 
     def happens_before(self, other: "VectorClock") -> bool:
         """Strict: self <= other pointwise, and self != other."""

@@ -238,13 +238,13 @@ class ConstraintGate:
     def __init__(self, constraints: Iterable[OrderConstraint]) -> None:
         self.constraints: List[OrderConstraint] = list(constraints)
         self.counter = OccurrenceCounter()
-        # blocks() runs once per runnable thread per step — the hottest
-        # loop in an attempt.  A constraint can only block the thread its
-        # ``after`` ref names, so index by that tid and scan the (tiny)
-        # relevant slice instead of the whole set.
-        self._by_after_tid: Dict[int, List[OrderConstraint]] = {}
+        #: A constraint can only block the thread its ``after`` ref
+        #: names, so constraints are indexed by that tid: :meth:`blocks`
+        #: scans the (tiny) relevant slice, and the PIR scheduler skips
+        #: the call outright for a tid absent from this index.
+        self.by_after_tid: Dict[int, List[OrderConstraint]] = {}
         for constraint in self.constraints:
-            self._by_after_tid.setdefault(
+            self.by_after_tid.setdefault(
                 constraint.after.tid, []
             ).append(constraint)
 
@@ -253,7 +253,7 @@ class ConstraintGate:
 
     def blocks(self, tid: int, op: Op) -> bool:
         """Whether this thread's pending op must wait for a constraint."""
-        for constraint in self._by_after_tid.get(tid, ()):
+        for constraint in self.by_after_tid.get(tid, ()):
             if self.counter.executed(constraint.before):
                 continue
             if self.counter.pending_matches(tid, op, constraint.after):
@@ -276,37 +276,40 @@ class RefIndex:
     """Maps every memory access / lock acquisition of a trace to its EventRef.
 
     One pass over the events assigns occurrence numbers; afterwards
-    :meth:`ref_of` answers by global index.
+    :meth:`ref_of` answers by global index.  Refs are kept as plain
+    ``(tid, family, key, occurrence)`` tuples — a feedback pass indexes
+    every memory event but names only the few that race — and become
+    :class:`EventRef` objects only when :meth:`ref_of` hands one out.
     """
 
     def __init__(self, events: Iterable[Event]) -> None:
-        self._refs: Dict[int, EventRef] = {}
-        self._gidx: Dict[EventRef, int] = {}
+        self._refs: Dict[int, Tuple[int, str, Address, int]] = {}
+        self._gidx: Dict[Tuple[int, str, Address, int], int] = {}
         mem: Dict[Tuple[int, Address], int] = {}
         lock: Dict[Tuple[int, str], int] = {}
         for event in events:
             if event.kind in MEMORY_KINDS:
                 key = (event.tid, event.addr)
-                mem[key] = mem.get(key, 0) + 1
-                ref = EventRef(event.tid, "mem", event.addr, mem[key])
-                self._refs[event.gidx] = ref
-                self._gidx[ref] = event.gidx
+                occurrence = mem[key] = mem.get(key, 0) + 1
+                ref = (event.tid, "mem", event.addr, occurrence)
             else:
                 mutex = _acquire_key(event.kind, event.obj, event.value)
-                if mutex is not None:
-                    key = (event.tid, mutex)
-                    lock[key] = lock.get(key, 0) + 1
-                    ref = EventRef(event.tid, "lock", mutex, lock[key])
-                    self._refs[event.gidx] = ref
-                    self._gidx[ref] = event.gidx
+                if mutex is None:
+                    continue
+                key = (event.tid, mutex)
+                occurrence = lock[key] = lock.get(key, 0) + 1
+                ref = (event.tid, "lock", mutex, occurrence)
+            self._refs[event.gidx] = ref
+            self._gidx[ref] = event.gidx
 
     def ref_of(self, event: Event) -> Optional[EventRef]:
         """The ref naming this event, or None for unnamed kinds."""
-        return self._refs.get(event.gidx)
+        ref = self._refs.get(event.gidx)
+        return None if ref is None else EventRef(*ref)
 
     def gidx_of(self, ref: EventRef) -> Optional[int]:
         """The global index of the event a ref names, if it executed."""
-        return self._gidx.get(ref)
+        return self._gidx.get((ref.tid, ref.family, ref.key, ref.occurrence))
 
     def lock_ref(self, tid: int, mutex: str, occurrence: int) -> EventRef:
         """Explicit lock-family ref (for lifted flips)."""

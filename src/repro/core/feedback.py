@@ -107,6 +107,10 @@ class Candidate:
         return (self.tier, major, self.shape, -self.anchor_gidx)
 
 
+#: ``repr`` of every op kind, as it appears inside a signature's ``repr``.
+_KIND_REPR = {kind: repr(kind) for kind in OpKind}
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Stable digest of *what* a trace executed (signatures, in order).
 
@@ -119,10 +123,17 @@ def trace_fingerprint(trace: Trace) -> str:
     cached = getattr(trace, "_fingerprint", None)
     if cached is not None:
         return cached
-    digest = hashlib.sha1()
-    for event in trace.events:
-        digest.update(repr(event.signature()).encode("utf-8"))
-    fingerprint = digest.hexdigest()
+    # Hashes the concatenated ``repr(event.signature())`` of every event,
+    # spelled out with the kind reprs looked up rather than rebuilt:
+    # attempt stores persist fingerprints, so the digest must not change.
+    text = "".join(
+        [
+            f"({e.tid!r}, {_KIND_REPR[e.kind]}, {e.addr!r}, "
+            f"{e.obj!r}, {e.name!r}, {e.label!r})"
+            for e in trace.events
+        ]
+    )
+    fingerprint = hashlib.sha1(text.encode("utf-8")).hexdigest()
     trace._fingerprint = fingerprint
     return fingerprint
 

@@ -54,9 +54,10 @@ class SketchCursor:
         self.sketch: SketchKind = log.sketch
         self.entries = log.entries
         self.position = 0
-        # gate() runs once per runnable thread per step; a frozenset
-        # membership test beats re-deriving visibility per op.
-        self._visible = visible_kinds(log.sketch)
+        #: op kinds this sketch records; the scheduler tests every
+        #: pending and executed op against it, and a frozenset membership
+        #: test beats re-deriving visibility per op.
+        self.visible = visible_kinds(log.sketch)
 
     @property
     def exhausted(self) -> bool:
@@ -68,7 +69,7 @@ class SketchCursor:
         Raises :class:`ReplayDivergence` when the expected thread's next
         visible action provably differs from the recorded one.
         """
-        if op.kind not in self._visible:
+        if op.kind not in self.visible:
             return Gate.FREE
         if self.exhausted:
             # Past the recorded horizon (the production run ended here,
@@ -85,12 +86,6 @@ class SketchCursor:
             f"{entry_for_op(tid, op).describe()}",
             step=self.position,
         )
-
-    def observe(self, tid: int, op: Op) -> None:
-        """Advance past an executed sketch-visible op."""
-        if self.exhausted or op.kind not in self._visible:
-            return
-        self.position += 1
 
 
 class BaseChooser:
@@ -194,27 +189,51 @@ class PIRScheduler(Scheduler):
 
     def pick(self, machine: Machine, runnable: Sequence[int]) -> int:
         self._catch_up(machine)
+        cursor = self.cursor
+        visible = cursor.visible
+        # The expected entry is the same for every thread this step.
+        expected = (
+            None if cursor.exhausted else cursor.entries[cursor.position]
+        )
+        gated = self.gate.by_after_tid
+        threads = machine.threads
         allowed: List[int] = []
-        blocked_reasons: List[str] = []
         for tid in runnable:
-            op = machine.pending_op_of(tid)
-            verdict = self.cursor.gate(tid, op)  # may raise ReplayDivergence
-            if verdict is Gate.BLOCKED:
-                blocked_reasons.append(f"T{tid} awaits its sketch turn")
-                continue
-            if self.gate.blocks(tid, op):
-                blocked_reasons.append(f"T{tid} awaits an order constraint")
-                continue
+            op = threads[tid].pending_op
+            if expected is not None and op.kind in visible:
+                if tid != expected.tid:
+                    continue  # awaits its sketch turn
+                if not expected.matches_op(tid, op):
+                    cursor.gate(tid, op)  # raises ReplayDivergence
+            if tid in gated and self.gate.blocks(tid, op):
+                continue  # awaits an order constraint
             allowed.append(tid)
         if not allowed:
             raise ReplayDivergence(
                 "no schedulable thread: "
-                + ("; ".join(blocked_reasons) or "all gated"),
+                + ("; ".join(self._blocked_reasons(machine, runnable))
+                   or "all gated"),
                 step=len(machine.events),
             )
         if len(allowed) == 1:
             return allowed[0]
         return self._chooser.choose(allowed)
+
+    def _blocked_reasons(
+        self, machine: Machine, runnable: Sequence[int]
+    ) -> List[str]:
+        """Why each runnable thread was held back, in ``runnable`` order.
+
+        Only called when :meth:`pick` found nothing schedulable, so every
+        runnable thread is blocked by the sketch or by a constraint.
+        """
+        reasons = []
+        for tid in runnable:
+            if self.cursor.gate(tid, machine.pending_op_of(tid)) is Gate.BLOCKED:
+                reasons.append(f"T{tid} awaits its sketch turn")
+            else:
+                reasons.append(f"T{tid} awaits an order constraint")
+        return reasons
 
     def _catch_up(self, machine: Machine) -> None:
         """Feed events executed since the last pick to cursor and gate."""
@@ -226,7 +245,7 @@ class PIRScheduler(Scheduler):
             if self.cursor.exhausted:
                 continue
             expected = self.cursor.entries[self.cursor.position]
-            if event.kind in self.cursor._visible:
+            if event.kind in self.cursor.visible:
                 if event.tid != expected.tid:
                     raise ReplayDivergence(
                         f"executed visible event {event.describe()} out of "

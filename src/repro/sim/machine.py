@@ -57,6 +57,22 @@ from repro.sim.trace import Trace
 from repro.sim.vtime import VirtualClock
 
 
+#: Kinds whose pending op may have to wait for machine state (a free
+#: mutex, a semaphore count, a finished thread, a kernel condition).
+#: Every other pending op of a READY thread can always execute, so
+#: :meth:`Machine.runnable_tids` consults ``_can_execute`` only for these.
+GUARDED_KINDS = frozenset(
+    {
+        OpKind.LOCK,
+        OpKind.RDLOCK,
+        OpKind.WRLOCK,
+        OpKind.SEM_ACQUIRE,
+        OpKind.JOIN,
+        OpKind.SYSCALL,
+    }
+)
+
+
 class ThreadStatus(enum.Enum):
     READY = "ready"
     WAITING_COND = "waiting_cond"
@@ -233,11 +249,13 @@ class Machine:
 
     def runnable_tids(self) -> List[int]:
         """Threads whose pending operation can complete now (ascending)."""
-        return [
-            ts.tid
-            for ts in self.threads.values()
-            if ts.status is ThreadStatus.READY and self._can_execute(ts)
-        ]
+        ready = ThreadStatus.READY
+        runnable = []
+        for ts in self.threads.values():
+            if ts.status is ready and ts.pending_op is not None:
+                if ts.pending_op.kind not in GUARDED_KINDS or self._can_execute(ts):
+                    runnable.append(ts.tid)
+        return runnable
 
     def pending_op_of(self, tid: int) -> Optional[Op]:
         """The operation thread ``tid`` will perform when next scheduled.

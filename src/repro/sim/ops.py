@@ -66,6 +66,14 @@ class OpKind(enum.Enum):
     # Program-level invariant check; a false condition is a failure.
     ASSERT = "assert"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent with equality.  ``Enum.__hash__`` hashes the member name
+    # in Python code; every ``kind in FROZENSET`` test and kind-keyed dict
+    # lookup on the replay hot path would pay that call.  Identity hashes
+    # vary with address layout, so nothing may depend on the iteration
+    # order of a set of kinds.
+    __hash__ = object.__hash__
+
 
 #: Kinds that read and/or write shared memory.  These are the accesses whose
 #: relative order across threads is the unrecorded non-determinism PRES's

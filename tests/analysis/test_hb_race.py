@@ -7,8 +7,12 @@ it does not (the race must be found).
 
 import pytest
 
-from repro.analysis import HBAnalysis, find_races
+from repro.analysis import HBAnalysis, RacePair, find_races
+from repro.analysis.vector_clock import VectorClock
+from repro.apps.registry import ALL_BUG_IDS, get_bug
 from repro.sim import Machine, Program, RandomScheduler
+from repro.sim.memory import region_of
+from repro.sim.ops import MEMORY_KINDS, WRITE_KINDS, OpKind
 
 from tests.conftest import counter_program, run_program
 
@@ -274,3 +278,132 @@ class TestAnalysisAPI:
         analysis = HBAnalysis(trace)
         assert analysis.races_involving("counter") == analysis.races
         assert analysis.races_involving("other") == []
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the epoch-based race test
+# ---------------------------------------------------------------------------
+
+
+def _reference_sweep(trace, use_lock_edges):
+    """A plain-vector-clock HB sweep: the race test is the full pointwise
+    ``VectorClock.leq``, and every access is handled like any other event.
+
+    Returns ``(event_vcs, races)`` for comparison with :class:`HBAnalysis`.
+    """
+    zero = VectorClock.zero()
+    thread_vc, mutex_vc, rwlock_vc, sem_vc = {}, {}, {}, {}
+    sends, recvs, pending, arrived, barrier_vc = {}, {}, {}, {}, {}
+    lock_counts, held = {}, {}
+    reads, writes, region_addrs = {}, {}, {}
+    vcs, races = [], []
+
+    def channel(event):
+        return event.args[0] if event.args else None
+
+    for event in trace.events:
+        tid, kind, obj = event.tid, event.kind, event.obj
+        vc = thread_vc.get(tid, zero)
+        if tid in pending:
+            vc = vc.join(pending.pop(tid))
+        acquires = kind in (OpKind.LOCK, OpKind.RDLOCK, OpKind.WRLOCK) or (
+            kind is OpKind.TRYLOCK and event.value
+        )
+        if acquires and use_lock_edges:
+            table = mutex_vc if kind in (OpKind.LOCK, OpKind.TRYLOCK) else rwlock_vc
+            vc = vc.join(table.get(obj, zero))
+        elif kind is OpKind.SEM_ACQUIRE:
+            vc = vc.join(sem_vc.get(obj, zero))
+        elif kind is OpKind.JOIN:
+            vc = vc.join(thread_vc.get(obj, zero))
+        elif kind is OpKind.SYSCALL and event.name in ("recv", "try_recv"):
+            chan = channel(event)
+            if chan is not None and event.value is not None:
+                k = recvs.get(chan, 0)
+                if k < len(sends.get(chan, [])):
+                    vc = vc.join(sends[chan][k])
+                recvs[chan] = k + 1
+        vc = vc.tick(tid)
+        thread_vc[tid] = vc
+        vcs.append(vc)
+
+        tid_held = held.setdefault(tid, {})
+        if acquires:
+            lock_counts[(tid, obj)] = lock_counts.get((tid, obj), 0) + 1
+            tid_held[obj] = lock_counts[(tid, obj)]
+        elif kind in (OpKind.UNLOCK, OpKind.RWUNLOCK):
+            tid_held.pop(obj, None)
+        elif kind is OpKind.COND_WAIT:
+            tid_held.pop(obj[1], None)
+
+        if kind is OpKind.UNLOCK:
+            mutex_vc[obj] = vc
+        elif kind is OpKind.RWUNLOCK:
+            rwlock_vc[obj] = rwlock_vc.get(obj, zero).join(vc)
+        elif kind is OpKind.COND_WAIT:
+            mutex_vc[obj[1]] = vc
+        elif kind is OpKind.SEM_RELEASE:
+            sem_vc[obj] = sem_vc.get(obj, zero).join(vc)
+        elif kind is OpKind.SPAWN:
+            pending[event.value] = vc
+        elif kind is OpKind.COND_SIGNAL and event.value is not None:
+            pending[event.value] = pending.get(event.value, zero).join(vc)
+        elif kind is OpKind.COND_BROADCAST and event.value:
+            for woken in event.value:
+                pending[woken] = pending.get(woken, zero).join(vc)
+        elif kind is OpKind.BARRIER_WAIT:
+            arrived.setdefault(obj, []).append(tid)
+            barrier_vc[obj] = barrier_vc.get(obj, zero).join(vc)
+            if event.value is not None:
+                for participant in arrived[obj]:
+                    pending[participant] = pending.get(participant, zero).join(
+                        barrier_vc[obj]
+                    )
+                arrived[obj], barrier_vc[obj] = [], zero
+        elif kind is OpKind.SYSCALL and event.name == "send":
+            chan = channel(event)
+            if chan is not None:
+                sends.setdefault(chan, []).append(vc)
+
+        if kind not in MEMORY_KINDS:
+            continue
+        addr = event.addr
+        held_now = tuple(sorted(tid_held.items()))
+        is_write = kind in WRITE_KINDS
+        targets = {addr, region_of(addr)}
+        if kind is OpKind.FREE:
+            targets.update(region_addrs.get(addr, ()))
+        for target in sorted(targets, key=repr):
+            histories = [writes.get(target, {})]
+            if is_write:
+                histories.append(reads.get(target, {}))
+            for history in histories:
+                for other_tid, (prev, prev_vc, prev_held) in history.items():
+                    if other_tid == tid:
+                        continue
+                    if target != addr and OpKind.FREE not in (prev.kind, kind):
+                        continue
+                    if not prev_vc.leq(vc):
+                        races.append(RacePair(prev, event, addr, prev_held, held_now))
+        (writes if is_write else reads).setdefault(addr, {})[tid] = (
+            event, vc, held_now
+        )
+        if region_of(addr) != addr:
+            region_addrs.setdefault(region_of(addr), set()).add(addr)
+    return vcs, races
+
+
+class TestEpochCheckEquivalence:
+    """The FastTrack epoch check reports exactly what the full pointwise
+    vector-clock comparison reports, on every bug of the suite."""
+
+    @pytest.mark.parametrize("use_lock_edges", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bug_id", ALL_BUG_IDS)
+    def test_matches_reference_sweep(self, bug_id, seed, use_lock_edges):
+        program = get_bug(bug_id).make_program()
+        trace = run_program(program, seed)
+        vcs, races = _reference_sweep(trace, use_lock_edges)
+        analysis = HBAnalysis(trace, use_lock_edges=use_lock_edges)
+        assert analysis.event_vcs == vcs
+        assert find_races(trace, use_lock_edges=use_lock_edges) == races

@@ -1,13 +1,17 @@
 """Tests for feedback generation from failed attempts."""
 
+import hashlib
+
 import pytest
 
+from repro.apps.registry import ALL_BUG_IDS, get_bug
 from repro.core.constraints import ConstraintSet, OrderConstraint
 from repro.core.feedback import (
     AttemptCache,
     FeedbackDB,
     FeedbackGenerator,
     _inverse,
+    trace_fingerprint,
 )
 from repro.core.sketches import SketchKind
 from repro.sim.ops import OpKind
@@ -145,6 +149,26 @@ class TestFeedbackDB:
         assert db.record_trace(same) is False
         assert db.duplicate_traces == 1
         assert db.record_trace(other) is True
+
+
+class TestTraceFingerprint:
+    """Attempt stores persist fingerprints, so the digest format is fixed."""
+
+    def test_golden_digest(self):
+        trace = run_program(get_bug("radix-order-rank").make_program(), 0)
+        assert len(trace.events) == 198
+        assert (
+            trace_fingerprint(trace)
+            == "a2d19923e00b8f9cbf5174809935be49cb940f4e"
+        )
+
+    @pytest.mark.parametrize("bug_id", ALL_BUG_IDS)
+    def test_equals_per_event_signature_hashing(self, bug_id):
+        trace = run_program(get_bug(bug_id).make_program(), 1)
+        digest = hashlib.sha1()
+        for event in trace.events:
+            digest.update(repr(event.signature()).encode("utf-8"))
+        assert trace_fingerprint(trace) == digest.hexdigest()
 
 
 def _ref(tid, key, occ):

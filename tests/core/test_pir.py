@@ -165,6 +165,38 @@ class TestDivergenceDetection:
         assert trace.divergence  # human-readable text
         assert isinstance(trace.divergence, str)
 
+    def test_all_gated_detail(self):
+        # After both spawns, T1's LOCK is visible but the sketch expects
+        # T2's; T2's unsketched write waits for T1's LOCK; T0 awaits a join.
+        def t1(ctx):
+            yield ctx.lock("a")
+            yield ctx.unlock("a")
+
+        def t2(ctx):
+            yield ctx.write("x", 1)
+            yield ctx.lock("b")
+            yield ctx.unlock("b")
+
+        def main(ctx):
+            first = yield ctx.spawn(t1)
+            second = yield ctx.spawn(t2)
+            yield ctx.join(first)
+            yield ctx.join(second)
+
+        log = SketchLog(SketchKind.SYNC)
+        log.append(SketchEntry(0, OpKind.SPAWN, None))
+        log.append(SketchEntry(0, OpKind.SPAWN, None))
+        log.append(SketchEntry(2, OpKind.LOCK, "b"))
+        constraint = OrderConstraint(
+            before=EventRef(1, "lock", "a", 1),
+            after=EventRef(2, "mem", "x", 1),
+        )
+        trace = replay(Program("gated", main), log, [constraint])
+        assert trace.divergence == (
+            "no schedulable thread: T1 awaits its sketch turn; "
+            "T2 awaits an order constraint"
+        )
+
     def test_describe(self):
         log = SketchLog(SketchKind.SYNC)
         scheduler = PIRScheduler(log, (), base_seed=3)

@@ -32,11 +32,29 @@ print(f"RESULT {rep.attempts} {rep.total_replay_steps} {race_key}")
 """
 
 
-def _run_with_hashseed(seed: str) -> str:
+#: The E12 recording, searched under ODR-strict matching at a small cap.
+#: Op kinds hash by identity, so sets of kinds iterate in an order that
+#: follows the address layout of each process rather than PYTHONHASHSEED;
+#: the report digest pins that no result depends on that order either.
+_E12_SNIPPET = """
+import hashlib
+from repro import ExplorerConfig, reproduce
+from repro.bench.speedup import e12_workload
+from repro.core.reproducer import render_report
+
+rec = e12_workload()
+rep = reproduce(rec, ExplorerConfig(max_attempts=40, base_seed=1),
+                match_output=True)
+digest = hashlib.sha1(render_report(rep).encode("utf-8")).hexdigest()
+print(f"RESULT {rep.attempts} {rep.total_replay_steps} {digest}")
+"""
+
+
+def _run_with_hashseed(seed: str, snippet: str = _SNIPPET) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     proc = subprocess.run(
-        [sys.executable, "-c", _SNIPPET],
+        [sys.executable, "-c", snippet],
         capture_output=True,
         text=True,
         env=env,
@@ -52,3 +70,10 @@ def _run_with_hashseed(seed: str) -> str:
 def test_results_identical_across_hash_seeds():
     results = {_run_with_hashseed(seed) for seed in ("1", "7", "1234")}
     assert len(results) == 1, f"hash-seed-dependent results: {results}"
+
+
+def test_e12_report_identical_across_processes():
+    results = {
+        _run_with_hashseed(seed, _E12_SNIPPET) for seed in ("1", "7", "1234")
+    }
+    assert len(results) == 1, f"process-dependent reports: {results}"
