@@ -32,12 +32,20 @@ edges, so the sweep handles them on an early branch.
 ``use_lock_edges=False`` drops the mutex edges: with no sketch at all, even
 lock-acquisition order is up for grabs during replay, so accesses ordered
 only by lock handoffs must still be offered as flip candidates.
+
+A sweep can stop at chosen event counts and leave a
+:class:`SweepCheckpoint` there, and a later sweep over a trace that
+shares those first events can start from it.  The feedback loop uses
+this along schedule prefixes: a replay attempt resumed from its
+parent's snapshot shares the parent's opening events, so its sweep
+starts where the parent's checkpoint left off (see
+:mod:`repro.core.prefix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.vector_clock import VectorClock
 from repro.sim.events import Event
@@ -107,23 +115,135 @@ class _Access:
         self.held = held
 
 
+class _SweepState:
+    """The maps one forward sweep carries from event to event."""
+
+    __slots__ = (
+        "thread_vc", "mutex_vc", "rwlock_vc", "sem_vc", "channel_sends",
+        "channel_recvs", "pending_join", "barrier_arrived", "barrier_vc",
+        "lock_counts", "held", "reads", "writes", "region_addrs",
+    )
+
+    def __init__(self) -> None:
+        self.thread_vc: Dict[int, VectorClock] = {}
+        self.mutex_vc: Dict[str, VectorClock] = {}
+        self.rwlock_vc: Dict[str, VectorClock] = {}
+        self.sem_vc: Dict[str, VectorClock] = {}
+        self.channel_sends: Dict[str, List[VectorClock]] = {}
+        self.channel_recvs: Dict[str, int] = {}
+        self.pending_join: Dict[int, VectorClock] = {}  # joined at tid's next event
+        self.barrier_arrived: Dict[str, List[int]] = {}
+        self.barrier_vc: Dict[str, VectorClock] = {}
+        self.lock_counts: Dict[Tuple[int, str], int] = {}
+        self.held: Dict[int, Dict[str, int]] = {}
+        # Per-address access history: addr -> tid -> last read / last write.
+        self.reads: Dict[Address, Dict[int, _Access]] = {}
+        self.writes: Dict[Address, Dict[int, _Access]] = {}
+        self.region_addrs: Dict[Address, Set[Address]] = {}
+
+    def copy(self) -> "_SweepState":
+        """A copy no later sweep step can reach into.
+
+        Containers are copied down to the level the sweep mutates;
+        :class:`VectorClock` and :class:`_Access` values are never
+        mutated once stored, so the copy shares them.
+        """
+        state = _SweepState.__new__(_SweepState)
+        for name in ("thread_vc", "mutex_vc", "rwlock_vc", "sem_vc",
+                     "channel_recvs", "pending_join", "barrier_vc",
+                     "lock_counts"):
+            setattr(state, name, dict(getattr(self, name)))
+        for name in ("channel_sends", "barrier_arrived"):
+            setattr(state, name,
+                    {k: list(v) for k, v in getattr(self, name).items()})
+        for name in ("held", "reads", "writes"):
+            setattr(state, name,
+                    {k: dict(v) for k, v in getattr(self, name).items()})
+        state.region_addrs = {k: set(v) for k, v in self.region_addrs.items()}
+        return state
+
+
+class SweepCheckpoint:
+    """An :class:`HBAnalysis` sweep stopped after its first ``events`` events.
+
+    Immutable once made: a sweep that starts from it copies the maps out
+    and takes the first ``n_races`` races.  The race list belongs to the
+    sweep that made the checkpoint and may grow past that count, which
+    lets every checkpoint of one sweep share it.  Per-event clocks are
+    not kept: only their owner reads them, so a resumed analysis
+    recomputes the prefix's clocks if :attr:`HBAnalysis.event_vcs` is
+    ever read.
+    """
+
+    __slots__ = (
+        "events", "last", "use_lock_edges", "max_races", "state", "races",
+        "n_races",
+    )
+
+    def __init__(
+        self,
+        events: int,
+        last: Event,
+        use_lock_edges: bool,
+        max_races: int,
+        state: _SweepState,
+        races: List[RacePair],
+    ) -> None:
+        self.events = events
+        #: the last swept event, to reject a trace with another prefix
+        self.last = last
+        self.use_lock_edges = use_lock_edges
+        self.max_races = max_races
+        self.state = state
+        self.races = races
+        self.n_races = len(races)
+
+
 class HBAnalysis:
-    """Sweep result: per-event vector clocks plus the race report."""
+    """Sweep result: per-event vector clocks plus the race report.
+
+    ``start`` resumes the sweep from a checkpoint of a trace with the
+    same first ``start.events`` events; a checkpoint made under other
+    settings, or whose last event differs from this trace's, is ignored
+    and the sweep starts from the first event.  Either way the result is
+    the same.  ``checkpoint_at`` lists event counts at which to leave a
+    checkpoint, collected in :attr:`checkpoints` by event count (counts
+    the sweep does not pass are skipped).
+    """
 
     def __init__(
         self,
         trace: Trace,
         use_lock_edges: bool = True,
         max_races: int = 10_000,
+        start: Optional[SweepCheckpoint] = None,
+        checkpoint_at: Sequence[int] = (),
     ) -> None:
         self.trace = trace
         self.use_lock_edges = use_lock_edges
         self.max_races = max_races
-        self.event_vcs: List[VectorClock] = []
         self.races: List[RacePair] = []
-        self._sweep()
+        self.checkpoints: Dict[int, SweepCheckpoint] = {}
+        #: how many leading events a checkpoint spared the sweep
+        self.resumed_at = 0
+        #: clocks of the last ``len(_vcs)`` events; a resumed sweep
+        #: leaves the prefix's to :attr:`event_vcs`
+        self._vcs: List[VectorClock] = []
+        self._sweep(start, checkpoint_at)
 
     # -- public helpers ---------------------------------------------------
+
+    @property
+    def event_vcs(self) -> List[VectorClock]:
+        """The vector clock of every event, in trace order."""
+        missing = len(self.trace.events) - len(self._vcs)
+        if missing:
+            prefix: List[VectorClock] = []
+            self._sweep_range(
+                _SweepState(), self.trace.events[:missing], prefix, []
+            )
+            self._vcs[:0] = prefix
+        return self._vcs
 
     def vc_of(self, gidx: int) -> VectorClock:
         return self.event_vcs[gidx]
@@ -137,30 +257,67 @@ class HBAnalysis:
 
     # -- the sweep ----------------------------------------------------------
 
-    def _sweep(self) -> None:
-        thread_vc: Dict[int, VectorClock] = {}
-        mutex_vc: Dict[str, VectorClock] = {}
-        rwlock_vc: Dict[str, VectorClock] = {}
-        sem_vc: Dict[str, VectorClock] = {}
-        channel_sends: Dict[str, List[VectorClock]] = {}
-        channel_recvs: Dict[str, int] = {}
-        pending_join: Dict[int, VectorClock] = {}  # joined at tid's next event
-        barrier_arrived: Dict[str, List[int]] = {}
-        barrier_vc: Dict[str, VectorClock] = {}
+    def _resumable(self, start: Optional[SweepCheckpoint]) -> bool:
+        if start is None:
+            return False
+        events = self.trace.events
+        return (
+            start.use_lock_edges == self.use_lock_edges
+            and start.max_races == self.max_races
+            and 0 < start.events <= len(events)
+            and events[start.events - 1] == start.last
+        )
 
-        lock_counts: Dict[Tuple[int, str], int] = {}
-        held: Dict[int, Dict[str, int]] = {}
+    def _sweep(
+        self, start: Optional[SweepCheckpoint], checkpoint_at: Sequence[int]
+    ) -> None:
+        events = self.trace.events
+        if self._resumable(start):
+            state = start.state.copy()
+            pos = self.resumed_at = start.events
+            self.races.extend(start.races[:start.n_races])
+        else:
+            state = _SweepState()
+            pos = 0
+        for stop in sorted(set(checkpoint_at)):
+            if not pos < stop <= len(events):
+                continue
+            self._sweep_range(state, events[pos:stop], self._vcs, self.races)
+            pos = stop
+            self.checkpoints[stop] = SweepCheckpoint(
+                stop, events[stop - 1], self.use_lock_edges, self.max_races,
+                state.copy(), self.races,
+            )
+        self._sweep_range(
+            state, events[pos:] if pos else events, self._vcs, self.races
+        )
 
-        # Per-address access history: addr -> tid -> last read / last write.
-        reads: Dict[Address, Dict[int, _Access]] = {}
-        writes: Dict[Address, Dict[int, _Access]] = {}
-        region_addrs: Dict[Address, Set[Address]] = {}
+    def _sweep_range(
+        self,
+        state: _SweepState,
+        events: Sequence[Event],
+        event_vcs: List[VectorClock],
+        races: List[RacePair],
+    ) -> None:
+        """Sweep ``events``, appending their clocks and races found."""
+        thread_vc = state.thread_vc
+        mutex_vc = state.mutex_vc
+        rwlock_vc = state.rwlock_vc
+        sem_vc = state.sem_vc
+        channel_sends = state.channel_sends
+        channel_recvs = state.channel_recvs
+        pending_join = state.pending_join
+        barrier_arrived = state.barrier_arrived
+        barrier_vc = state.barrier_vc
+        lock_counts = state.lock_counts
+        held = state.held
+        reads = state.reads
+        writes = state.writes
+        region_addrs = state.region_addrs
 
         zero = VectorClock.zero()
 
-        event_vcs = self.event_vcs
-        races = self.races
-        for event in self.trace.events:
+        for event in events:
             tid = event.tid
             vc = thread_vc.get(tid, zero)
 
@@ -177,7 +334,7 @@ class HBAnalysis:
                 if len(races) < self.max_races:
                     self._check_access(
                         event, vc, held.setdefault(tid, {}), reads, writes,
-                        region_addrs,
+                        region_addrs, races,
                     )
                 continue
             if kind is OpKind.LOCK and self.use_lock_edges:
@@ -272,6 +429,7 @@ class HBAnalysis:
         reads: Dict[Address, Dict[int, _Access]],
         writes: Dict[Address, Dict[int, _Access]],
         region_addrs: Dict[Address, Set[Address]],
+        races: List[RacePair],
     ) -> None:
         addr = event.addr
         tid = event.tid
@@ -313,7 +471,7 @@ class HBAnalysis:
                     # join and tick, so any clock whose t-component
                     # reaches c dominates that event's whole clock.
                     if prev.own > vc.get(other_tid):
-                        self.races.append(
+                        races.append(
                             RacePair(
                                 first=prev.event,
                                 second=event,
@@ -322,7 +480,7 @@ class HBAnalysis:
                                 held_second=held_now,
                             )
                         )
-                        if len(self.races) >= self.max_races:
+                        if len(races) >= self.max_races:
                             return
 
         table = writes if is_write else reads

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.hb_race import HBAnalysis, RacePair
 from repro.core.constraints import ConstraintSet, OrderConstraint, RefIndex
@@ -365,13 +365,31 @@ class FeedbackGenerator:
         self,
         attempt_trace: Trace,
         current: ConstraintSet,
+        rungs: Sequence[Any] = (),
     ) -> List[Candidate]:
-        """Ranked, unseen constraint sets derived from one attempt."""
+        """Ranked, unseen constraint sets derived from one attempt.
+
+        ``rungs`` are the attempt's prefix-ladder rungs, shallowest first
+        (:func:`repro.core.prefix.attempt_rungs`).  The race sweep starts
+        from the deepest one holding a sweep checkpoint and leaves
+        checkpoints on the deeper ones, for the attempt's own children.
+        """
         if len(current) >= self.max_constraint_depth:
             return []
 
         use_lock_edges = self.sketch.includes(SketchKind.SYNC)
-        analysis = HBAnalysis(attempt_trace, use_lock_edges=use_lock_edges)
+        start = next(
+            (r.sweep for r in reversed(rungs) if r.sweep is not None), None
+        )
+        pending = [r for r in rungs if r.sweep is None]
+        analysis = HBAnalysis(
+            attempt_trace,
+            use_lock_edges=use_lock_edges,
+            start=start,
+            checkpoint_at=[r.events for r in pending],
+        )
+        for rung in pending:
+            rung.sweep = analysis.checkpoints.get(rung.events)
         refs = RefIndex(attempt_trace.events)
 
         raw: List[Tuple[OrderConstraint, int, int]] = []

@@ -35,9 +35,15 @@ is the one the retired serial explorer walked; its report signatures are
 frozen in ``tests/fixtures/serial_signatures.json`` and the engine is
 held to them at ``jobs=1`` and ``jobs=2``.
 
-Every live attempt is mined eagerly where it ran, and every attempt with
-a mined parent may resume from that parent's prefix snapshot (see
-:mod:`repro.core.prefix`) — in-process at ``jobs=1`` as in the workers.
+Mining happens at most once per new execution.  An attempt evaluated
+in this process comes back unmined (``candidates=None``) with its trace
+kept until the fold, and the fold mines it only if its fingerprint is
+new; a duplicate's candidates would be discarded anyway.  Pool workers
+cannot see fold order, so they mine every attempt before shipping it
+back.  Every attempt with a mined parent may resume from that parent's
+prefix snapshot, and its race sweep from the parent's sweep checkpoint
+at the same rung (see :mod:`repro.core.prefix`) — in-process at
+``jobs=1`` as in the workers.
 
 Early cancellation: once a batch's canonical-first match is known, every
 later future in the batch is cancelled and no further batches are
@@ -94,6 +100,7 @@ from repro.core.pir import PIRScheduler
 from repro.core.prefix import (
     PrefixTree,
     ResumePlan,
+    attempt_rungs,
     capture_hooks,
     resume_depth,
     resume_machine,
@@ -181,7 +188,9 @@ class AttemptOutcome:
     #: :func:`~repro.core.feedback.trace_fingerprint` of the attempt;
     #: empty for a matched attempt, which the search never dedups.
     fingerprint: str
-    candidates: Tuple[Candidate, ...] = ()
+    #: None for a failed attempt not mined (yet): the feedback search
+    #: mines it at fold time if its execution turns out to be new.
+    candidates: Optional[Tuple[Candidate, ...]] = ()
     schedule: Optional[Tuple[int, ...]] = None
     #: spans recorded while evaluating this attempt (tracing only);
     #: stamped with the recording pid so the parent can assign worker
@@ -266,12 +275,38 @@ def evaluate_attempt(
 ) -> AttemptOutcome:
     """Run one attempt and summarize it as a picklable outcome.
 
-    Candidate mining happens here, in the worker, so the (potentially
-    large) trace never crosses the process boundary.  A matched attempt
-    skips mining and fingerprinting — the search stops at it anyway —
-    and carries the winning schedule instead.
+    This is the pool worker's entry point, and it mines eagerly: a
+    worker cannot see whether the fold will find the execution new, and
+    the (potentially large) trace never crosses the process boundary.
+    A matched attempt skips mining and fingerprinting — the search stops
+    at it anyway — and carries the winning schedule instead.
     """
     return _evaluate(ctx, constraints, seed, mine, resume, tree)[0]
+
+
+def mine_attempt(
+    ctx: AttemptContext,
+    trace: Trace,
+    constraints: ConstraintSet,
+    seed: int,
+    tree: Optional[PrefixTree],
+) -> Tuple[Candidate, ...]:
+    """The next-attempt candidates mined from one failed attempt.
+
+    With a ``tree``, the race sweep starts from the attempt's deepest
+    rung that holds a sweep checkpoint and leaves checkpoints on its
+    deeper rungs.
+    """
+    generator = FeedbackGenerator(
+        sketch=ctx.recorded.sketch,
+        max_candidates_per_attempt=ctx.max_candidates_per_attempt,
+        max_constraint_depth=ctx.max_constraint_depth,
+    )
+    rungs = (
+        attempt_rungs(tree, constraints, seed, trace.steps)
+        if tree is not None else ()
+    )
+    return tuple(generator.candidates(trace, constraints, rungs))
 
 
 def _evaluate(
@@ -282,7 +317,11 @@ def _evaluate(
     resume: Optional[ResumePlan],
     tree: Optional[PrefixTree],
 ) -> Tuple[AttemptOutcome, Trace]:
-    """:func:`evaluate_attempt`, also returning the attempt's trace."""
+    """:func:`evaluate_attempt`, also returning the attempt's trace.
+
+    Without ``mine``, a failed attempt comes back unmined
+    (``candidates=None``).
+    """
     tracer = ctx.attempt_tracer()
     attempt_span = tracer.span(
         "attempt", category="attempt", seed=seed, constraints=len(constraints)
@@ -293,20 +332,18 @@ def _evaluate(
                 ctx, constraints, seed, resume=resume, tree=tree
             )
         outcome, detail = _classify(trace, matched)
-        candidates: Tuple[Candidate, ...] = ()
+        candidates: Optional[Tuple[Candidate, ...]] = ()
         schedule: Optional[Tuple[int, ...]] = None
         if matched:
             schedule = tuple(trace.schedule)
         elif mine:
             with tracer.span("mine", category="feedback"):
-                generator = FeedbackGenerator(
-                    sketch=ctx.recorded.sketch,
-                    max_candidates_per_attempt=ctx.max_candidates_per_attempt,
-                    max_constraint_depth=ctx.max_constraint_depth,
-                )
-                candidates = tuple(generator.candidates(trace, constraints))
+                candidates = mine_attempt(ctx, trace, constraints, seed, tree)
+        else:
+            candidates = None
         attempt_span.note(
-            outcome=outcome, steps=trace.steps, candidates=len(candidates)
+            outcome=outcome, steps=trace.steps,
+            candidates=len(candidates or ()),
         )
     summary = AttemptOutcome(
         constraints=constraints,
@@ -554,10 +591,11 @@ class ParallelExplorer:
         #: inline path and supervisor fallbacks); pool workers hold their
         #: own trees (see :func:`_worker_init`).
         self._prefix_tree = PrefixTree()
-        #: ``(constraints, seed, trace)`` of the last matched attempt
-        #: evaluated in this process, so the fold can take its trace
-        #: instead of replaying the winner a second time.
-        self._local_winner: Optional[Tuple[ConstraintSet, int, Trace]] = None
+        #: traces of the current batch's attempts evaluated in this
+        #: process that the fold may still need — unmined ones and a
+        #: winner — keyed by ``(constraints, seed)``, so the fold mines
+        #: or reports them without replaying them a second time.
+        self._local_traces: Dict[Tuple[ConstraintSet, int], Trace] = {}
         #: resume plans issued at batch assembly — the logical, jobs-
         #: invariant count the report and metrics publish (which worker
         #: physically held the snapshot is invisible by design).
@@ -754,12 +792,17 @@ class ParallelExplorer:
         mine: bool,
         resume: Optional[ResumePlan] = None,
     ) -> AttemptOutcome:
-        """Evaluate one attempt in this process, keeping a winner's trace."""
+        """Evaluate one attempt in this process, leaving mining to the fold.
+
+        ``mine`` is ignored: the fold mines what the search needs.  The
+        trace of an unmined outcome or a winner stays here until the
+        fold takes it.
+        """
         outcome, trace = _evaluate(
-            self.context, constraints, seed, mine, resume, self._prefix_tree
+            self.context, constraints, seed, False, resume, self._prefix_tree
         )
-        if outcome.matched:
-            self._local_winner = (constraints, seed, trace)
+        if outcome.matched or outcome.candidates is None:
+            self._local_traces[(constraints, seed)] = trace
         return outcome
 
     def _evaluate_batch(
@@ -777,6 +820,7 @@ class ParallelExplorer:
         with retries, or in-process — is the supervisor's business.
         """
         self.obs.metrics.counter("batches").inc()
+        self._local_traces.clear()  # the previous batch is folded
         with self.obs.tracer.span(
             "batch", category="explore", size=len(tasks),
             first_attempt=self._folded_attempts,
@@ -957,8 +1001,8 @@ class ParallelExplorer:
             self.obs.tracer.absorb(
                 outcome.spans, self._lane_for(outcome.spans[0].pid)
             )
-        self._remember(outcome)
         if outcome.matched:
+            self._remember(outcome)
             result.success = True
             result.winning_constraints = outcome.constraints
             result.winning_seed = outcome.seed
@@ -974,15 +1018,40 @@ class ParallelExplorer:
             if self.cache is not None:
                 result.cache_hits = self.cache.hits
             return True
-        if self.db.record_fingerprint(outcome.fingerprint):
-            metrics.counter("candidates_mined").inc(
-                len(outcome.candidates)
-            )
-            for candidate in outcome.candidates:
+        new = self.db.record_fingerprint(outcome.fingerprint)
+        if new and outcome.candidates is None and self.use_feedback:
+            outcome = self._mine_at_fold(outcome)
+        self._remember(outcome)
+        if new:
+            candidates = outcome.candidates or ()
+            metrics.counter("candidates_mined").inc(len(candidates))
+            for candidate in candidates:
                 push(candidate, outcome.seed)
         if self.cache is not None:
             result.cache_hits = self.cache.hits
         return False
+
+    def _mine_at_fold(self, outcome: AttemptOutcome) -> AttemptOutcome:
+        """``outcome`` with the candidates of its new execution mined.
+
+        An attempt evaluated in this process left its trace behind.  An
+        unmined outcome from the cache was stored by a search that had
+        no use for its candidates — one without feedback, or one that
+        folded it as a duplicate (say, under another batch size); attempts
+        are pure, so re-running it in-process reconstructs its trace.
+        """
+        constraints, seed = outcome.constraints, outcome.seed
+        trace = self._local_traces.pop((constraints, seed), None)
+        if trace is None:
+            with self.obs.tracer.span("remine", category="replay", seed=seed):
+                trace, _ = run_attempt(
+                    self.context, constraints, seed, tree=self._prefix_tree
+                )
+        with self.obs.tracer.span("mine", category="feedback"):
+            candidates = mine_attempt(
+                self.context, trace, constraints, seed, self._prefix_tree
+            )
+        return replace(outcome, candidates=candidates)
 
     def _winning_trace(self, outcome: AttemptOutcome) -> Trace:
         """The full trace of the matched ``outcome``.
@@ -991,9 +1060,9 @@ class ParallelExplorer:
         from a pool worker or the store did not ship it; attempts are
         pure, so re-running the winner in-process reconstructs it.
         """
-        local = self._local_winner
-        if local is not None and local[:2] == (outcome.constraints, outcome.seed):
-            return local[2]
+        local = self._local_traces.pop((outcome.constraints, outcome.seed), None)
+        if local is not None:
+            return local
         with self.obs.tracer.span(
             "rematerialize-winner", category="replay", seed=outcome.seed
         ):

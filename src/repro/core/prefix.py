@@ -34,6 +34,13 @@ Design constraints, in order:
   (48, 96, 192, ...), so a live attempt pays O(log steps) snapshots,
   and the tree holds at most ``max_nodes`` snapshots, evicting
   least-recently-used.
+
+Each snapshot sits on a :class:`Rung`, which also carries the
+happens-before sweep's checkpoint for the same point once the attempt
+has been mined (:attr:`Rung.sweep`).  A resumed attempt shares its
+parent's events up to the rung, so mining it sweeps only the suffix
+(:func:`attempt_rungs`); a rung without a checkpoint means a full
+sweep, with the same result.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+from repro.analysis.hb_race import SweepCheckpoint
 from repro.core.constraints import ConstraintSet, OrderConstraint
 from repro.core.pir import PIRScheduler
 from repro.sim.machine import Machine
@@ -93,18 +101,39 @@ class ResumePlan:
     parent_steps: int
 
 
+class Rung:
+    """One attempt's state at one ladder depth.
+
+    ``machine``/``scheduler`` are the simulator and PIR snapshots taken
+    live; ``events`` is how many trace events the attempt had emitted
+    there; ``sweep`` is the happens-before sweep's checkpoint at that
+    event count, filled in when the attempt is mined.  Aliased tree keys
+    share the one object, so a checkpoint set through any of them serves
+    all of them.
+    """
+
+    __slots__ = ("machine", "scheduler", "events", "sweep")
+
+    def __init__(self, machine: Any, scheduler: Any, events: int) -> None:
+        self.machine = machine
+        self.scheduler = scheduler
+        self.events = events
+        self.sweep: Optional[SweepCheckpoint] = None
+
+
 class PrefixTree:
     """Process-local LRU store of mid-attempt simulator snapshots.
 
-    ``max_nodes`` bounds snapshots, not attempts: each attempt captures
-    O(log steps) ladder depths, so the default holds snapshots for
-    roughly the last ~80 attempts — enough that siblings scattered
+    Nodes are :class:`Rung` objects, opaque to the tree.  ``max_nodes``
+    bounds snapshots, not attempts: each attempt captures O(log steps)
+    ladder depths, so the default holds snapshots for roughly the last
+    ~80 attempts — enough that siblings scattered
     across the best-first frontier still find their parent warm.
     """
 
     def __init__(self, max_nodes: int = 256) -> None:
         self.max_nodes = max_nodes
-        self._nodes: Dict[Tuple, Tuple[Any, Any]] = {}
+        self._nodes: Dict[Tuple, Any] = {}
         self.hits = 0
         self.misses = 0
         self.captures = 0
@@ -112,7 +141,7 @@ class PrefixTree:
         self.resumes = 0
         self.fallbacks = 0
 
-    def get(self, key: Tuple) -> Optional[Tuple[Any, Any]]:
+    def get(self, key: Tuple) -> Any:
         node = self._nodes.get(key)
         if node is not None:
             self.hits += 1
@@ -122,10 +151,10 @@ class PrefixTree:
             self.misses += 1
         return node
 
-    def put(self, key: Tuple, snapshot: Tuple[Any, Any]) -> None:
+    def put(self, key: Tuple, node: Any) -> None:
         if key in self._nodes:
             del self._nodes[key]
-        self._nodes[key] = snapshot
+        self._nodes[key] = node
         self.captures += 1
         while len(self._nodes) > self.max_nodes:
             oldest = next(iter(self._nodes))
@@ -136,7 +165,8 @@ class PrefixTree:
 
         Sound whenever the two keys provably name identical states —
         snapshots are immutable once stored (restores copy out of them),
-        so sharing is free.
+        so sharing is free, and a sweep checkpoint later set on the
+        shared rung serves both keys.
         """
         node = self._nodes.get(src)
         if node is None:
@@ -171,18 +201,20 @@ def capture_hooks(
             try:
                 # pickle blobs: cheap to capture, each restore unpickles
                 # its own fresh copy
-                snapshot = (
+                rung = Rung(
                     machine.capture_state(serialize=True),
                     scheduler.capture_resume_state(serialize=True),
+                    len(machine.events),
                 )
             except Exception:
                 # unpicklable state (e.g. closure thread bodies): the
                 # deep-copy variant is slower but always works
-                snapshot = (
+                rung = Rung(
                     machine.capture_state(),
                     scheduler.capture_resume_state(),
+                    len(machine.events),
                 )
-            tree.put((constraints, seed, len(machine.schedule)), snapshot)
+            tree.put((constraints, seed, len(machine.schedule)), rung)
         except Exception:
             pass  # unclean state at this depth; deeper rungs may still work
 
@@ -210,17 +242,17 @@ def resume_machine(
         parent: ConstraintSet = constraints - {plan.flip}
         if len(parent) != len(constraints) - 1:
             return None
-        snapshot = None
+        rung: Optional[Rung] = None
         found = 0
         for depth in reversed(planned_depths(plan.parent_steps)):
             if depth > plan.depth:
                 continue
-            snapshot = tree._nodes.get((parent, seed, depth))
-            if snapshot is not None:
+            rung = tree._nodes.get((parent, seed, depth))
+            if rung is not None:
                 found = depth
                 tree.get((parent, seed, depth))  # count + LRU refresh
                 break
-        if snapshot is None:
+        if rung is None:
             tree.misses += 1
             return None
         # Alias the parent's rungs at or below the resume point under the
@@ -232,7 +264,6 @@ def resume_machine(
             if depth > found:
                 break
             tree.alias((parent, seed, depth), (constraints, seed, depth))
-        machine_state, scheduler_state = snapshot
         recorded = ctx.recorded
         scheduler = PIRScheduler(
             recorded.log,
@@ -241,10 +272,30 @@ def resume_machine(
             base_policy=ctx.base_policy,
         )
         machine = Machine(recorded.program, scheduler, recorded.config)
-        machine.restore_state(machine_state)
-        scheduler.restore_resume_state(scheduler_state)
+        machine.restore_state(rung.machine)
+        scheduler.restore_resume_state(rung.scheduler)
         tree.resumes += 1
         return machine, scheduler
     except Exception:
         tree.fallbacks += 1
         return None
+
+
+def attempt_rungs(
+    tree: PrefixTree, constraints: ConstraintSet, seed: int, steps: int
+) -> Tuple[Rung, ...]:
+    """The rungs ``tree`` holds for one attempt of ``steps`` steps,
+    shallowest first.
+
+    Both the rungs the attempt captured live and the ones it aliased
+    from its parent when it resumed.  A lookup for mining, not a resume:
+    it neither counts hits nor refreshes LRU order, so it cannot change
+    which snapshots later attempts find.
+    """
+    nodes = tree._nodes
+    rungs = []
+    for depth in planned_depths(steps):
+        rung = nodes.get((constraints, seed, depth))
+        if rung is not None:
+            rungs.append(rung)
+    return tuple(rungs)

@@ -18,7 +18,10 @@ Three shapes are encoded:
   stripped before any caching, in-memory or on disk);
 * **candidates** — the mined next-attempt
   :class:`~repro.core.feedback.Candidate` set riding on each failed
-  outcome, which the warm run re-pushes onto its frontier.
+  outcome, which the warm run re-pushes onto its frontier; ``null`` for
+  an outcome stored unmined (an in-process attempt folded as a
+  duplicate, or any attempt of a search without feedback), which a
+  warm run that finds it new re-runs and mines.
 
 Constraint sets are serialized in :func:`~repro.core.constraints.
 canonical_order`, so encoding is deterministic: the same attempt always
@@ -173,7 +176,10 @@ def encode_record(key: Tuple, outcome: AttemptOutcome, tick: Tuple[int, int]) ->
             "steps": outcome.steps,
             "matched": outcome.matched,
             "fingerprint": outcome.fingerprint,
-            "candidates": [_candidate_json(c) for c in outcome.candidates],
+            "candidates": (
+                None if outcome.candidates is None
+                else [_candidate_json(c) for c in outcome.candidates]
+            ),
             "schedule": list(outcome.schedule) if outcome.schedule is not None else None,
         },
         "tick": [tick[0], tick[1]],
@@ -190,6 +196,9 @@ def decode_record(data: Any) -> Tuple[Tuple, AttemptOutcome, Tuple[int, int]]:
         key = decode_key(data["key"])
         raw = data["outcome"]
         schedule = raw.get("schedule")
+        candidates = raw["candidates"]
+        if candidates is not None and not isinstance(candidates, list):
+            raise TypeError(f"candidates is a {type(candidates).__name__}")
         outcome = AttemptOutcome(
             constraints=key[1],
             seed=key[2],
@@ -198,7 +207,10 @@ def decode_record(data: Any) -> Tuple[Tuple, AttemptOutcome, Tuple[int, int]]:
             steps=raw["steps"],
             matched=bool(raw["matched"]),
             fingerprint=raw["fingerprint"],
-            candidates=tuple(_candidate_from(c) for c in raw["candidates"]),
+            candidates=(
+                None if candidates is None
+                else tuple(_candidate_from(c) for c in candidates)
+            ),
             schedule=tuple(schedule) if schedule is not None else None,
         )
         epoch, index = data["tick"]

@@ -10,7 +10,8 @@ import pytest
 from repro.analysis import HBAnalysis, RacePair, find_races
 from repro.analysis.vector_clock import VectorClock
 from repro.apps.registry import ALL_BUG_IDS, get_bug
-from repro.sim import Machine, Program, RandomScheduler
+from repro.core.prefix import CAPTURE_DEPTHS, planned_depths
+from repro.sim import Machine, MachineConfig, Program, RandomScheduler
 from repro.sim.memory import region_of
 from repro.sim.ops import MEMORY_KINDS, WRITE_KINDS, OpKind
 
@@ -407,3 +408,114 @@ class TestEpochCheckEquivalence:
         analysis = HBAnalysis(trace, use_lock_edges=use_lock_edges)
         assert analysis.event_vcs == vcs
         assert find_races(trace, use_lock_edges=use_lock_edges) == races
+
+
+# ---------------------------------------------------------------------------
+# Differential check of sweep resume from checkpoints
+# ---------------------------------------------------------------------------
+
+
+def _run_with_rungs(program, seed):
+    """One run plus the event count at each prefix-ladder rung it passed."""
+    at_depth = {}
+    machine = Machine(
+        program, RandomScheduler(seed), MachineConfig(ncpus=4, max_steps=200_000)
+    )
+    trace = machine.run(
+        snapshot_depths=CAPTURE_DEPTHS,
+        on_snapshot=lambda m: at_depth.__setitem__(len(m.schedule), len(m.events)),
+    )
+    counts = [at_depth[d] for d in planned_depths(trace.steps) if d in at_depth]
+    return trace, counts
+
+
+def _checkpoint_view(checkpoint):
+    """Everything a checkpoint holds, as plain comparable values."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, set)):
+            return type(value)(value)
+        if hasattr(value, "own"):  # a last-access record
+            return (value.event, value.own, value.held)
+        return value
+
+    state = checkpoint.state
+    return (
+        {name: plain(getattr(state, name)) for name in state.__slots__},
+        checkpoint.events,
+        checkpoint.races[:checkpoint.n_races],
+    )
+
+
+class TestSweepResume:
+    """A sweep resumed from a rung's checkpoint reports exactly what a
+    full sweep reports: the same races in the same order, and the same
+    per-event clocks."""
+
+    @staticmethod
+    def _assert_resumes_match(trace, other, counts, use_lock_edges, max_races):
+        cold = HBAnalysis(other, use_lock_edges=use_lock_edges, max_races=max_races)
+        made = HBAnalysis(
+            trace, use_lock_edges=use_lock_edges, max_races=max_races,
+            checkpoint_at=counts,
+        )
+        # leaving checkpoints does not change the sweep's own result
+        assert made.races == cold.races
+        assert made.event_vcs == cold.event_vcs
+        assert sorted(made.checkpoints) == sorted(set(counts))
+        for count, checkpoint in made.checkpoints.items():
+            before = _checkpoint_view(checkpoint)
+            # twice from one checkpoint: resuming never mutates it
+            for _ in range(2):
+                resumed = HBAnalysis(
+                    other, use_lock_edges=use_lock_edges, max_races=max_races,
+                    start=checkpoint,
+                )
+                assert resumed.resumed_at == count
+                assert resumed.races == cold.races, f"resumed at {count}"
+                assert resumed.event_vcs == cold.event_vcs, f"resumed at {count}"
+                assert _checkpoint_view(checkpoint) == before
+
+    @pytest.mark.parametrize("use_lock_edges", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bug_id", ALL_BUG_IDS)
+    def test_resume_at_every_rung_matches_a_full_sweep(
+        self, bug_id, seed, use_lock_edges
+    ):
+        program = get_bug(bug_id).make_program()
+        trace, counts = _run_with_rungs(program, seed)
+        assert counts, f"{bug_id}: the run passed no rung"
+        # a second run of the same schedule: equal events, other objects,
+        # as when a resumed attempt's prefix comes from a snapshot
+        again = run_program(program, seed)
+        self._assert_resumes_match(trace, again, counts, use_lock_edges, 10_000)
+        # a race cap reached inside the prefix, when the prefix races
+        made = HBAnalysis(trace, use_lock_edges=use_lock_edges, checkpoint_at=counts)
+        in_prefix = [c.n_races for c in made.checkpoints.values() if c.n_races]
+        if in_prefix:
+            self._assert_resumes_match(
+                trace, again, counts, use_lock_edges, min(in_prefix)
+            )
+
+    def test_cap_reached_inside_the_prefix_is_covered(self):
+        trace, counts = _run_with_rungs(get_bug("apache-order-ref").make_program(), 0)
+        shallowest = HBAnalysis(trace, checkpoint_at=counts[:1]).checkpoints
+        cap = shallowest[counts[0]].n_races
+        assert cap > 0
+        capped = HBAnalysis(trace, max_races=cap, checkpoint_at=counts)
+        assert len(capped.races) == cap
+        assert all(c.n_races == cap for c in capped.checkpoints.values())
+
+    def test_mismatched_or_foreign_checkpoint_means_a_full_sweep(self):
+        trace, counts = _run_with_rungs(get_bug("mysql-atom-log").make_program(), 0)
+        checkpoint = HBAnalysis(trace, checkpoint_at=counts).checkpoints[counts[-1]]
+        cold = HBAnalysis(trace, use_lock_edges=False)
+        resumed = HBAnalysis(trace, use_lock_edges=False, start=checkpoint)
+        assert resumed.resumed_at == 0
+        assert resumed.races == cold.races
+        assert resumed.event_vcs == cold.event_vcs
+        other = run_program(get_bug("mysql-atom-log").make_program(), 1)
+        foreign = HBAnalysis(other, start=checkpoint)
+        assert foreign.resumed_at == 0
+        assert foreign.races == find_races(other)

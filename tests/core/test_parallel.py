@@ -15,8 +15,9 @@ from tests.conftest import find_seed, order_violation_program, serial_reference
 
 from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
+from repro.bench.speedup import e12_workload
 from repro.core.explorer import ExplorerConfig
-from repro.core.feedback import AttemptCache
+from repro.core.feedback import AttemptCache, FeedbackGenerator
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
 from repro.core.sketches import SketchKind
@@ -182,3 +183,42 @@ class TestPoolFallback:
             reports.append(reproduce(recorded, config, jobs=jobs))
         assert _record_keys(reports[0]) == _record_keys(reports[1])
         assert reports[0].success == reports[1].success
+
+
+class TestLazyMining:
+    """In-process evaluation mines an attempt only when its execution is
+    new: one mining pass per non-duplicate, unmatched attempt."""
+
+    @staticmethod
+    def _count_mining(monkeypatch):
+        calls = []
+        mine = FeedbackGenerator.candidates
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return mine(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeedbackGenerator, "candidates", counted)
+        return calls
+
+    def test_e12_mines_each_new_execution_once(self, monkeypatch):
+        recorded = e12_workload()
+        calls = self._count_mining(monkeypatch)
+        report = reproduce(
+            recorded, ExplorerConfig(max_attempts=40, base_seed=2),
+            match_output=True, jobs=1,
+        )
+        assert report.attempts == 40 and report.duplicate_traces > 0
+        matched = 1 if report.success else 0
+        assert len(calls) == (
+            report.attempts - report.duplicate_traces - matched
+        )
+
+    def test_a_matched_search_mines_neither_duplicates_nor_the_winner(
+        self, monkeypatch
+    ):
+        recorded = _recorded("mysql-atom-log")
+        calls = self._count_mining(monkeypatch)
+        report = reproduce(recorded, ExplorerConfig(max_attempts=25), jobs=1)
+        assert report.success and report.duplicate_traces > 0
+        assert len(calls) == report.attempts - report.duplicate_traces - 1

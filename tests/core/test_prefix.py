@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
+from repro.core import feedback
 from repro.core.feedback import FeedbackGenerator
 from repro.core.parallel import AttemptContext, run_attempt
 from repro.core.prefix import (
@@ -14,6 +15,7 @@ from repro.core.prefix import (
     MIN_RESUME_DEPTH,
     PrefixTree,
     ResumePlan,
+    attempt_rungs,
     planned_depths,
     resume_depth,
     resume_machine,
@@ -234,3 +236,58 @@ class TestResumedTraceIdentity:
         cold, _ = run_attempt(ctx, frozenset(), 0)
         via_plan, _ = run_attempt(ctx, frozenset(), 0, resume=bogus, tree=tree)
         assert _trace_identity(cold) == _trace_identity(via_plan)
+
+
+class TestSweepCheckpointsOnRungs:
+    """Mining leaves race-sweep checkpoints on an attempt's rungs, and a
+    resumed child's sweep starts from its parent's; candidates are the
+    same as from a full sweep."""
+
+    @pytest.mark.parametrize("bug_id", BUGS)
+    def test_resumed_child_mines_like_a_cold_sweep(self, bug_id, monkeypatch):
+        sweeps = []
+
+        class Recorded(feedback.HBAnalysis):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sweeps.append(self)
+
+        monkeypatch.setattr(feedback, "HBAnalysis", Recorded)
+        ctx = _context(bug_id)
+        tree = PrefixTree()
+        root = frozenset()
+        parent_trace, _ = run_attempt(ctx, root, 0, tree=tree)
+        generator = FeedbackGenerator(
+            sketch=ctx.recorded.sketch,
+            max_candidates_per_attempt=24,
+            max_constraint_depth=8,
+        )
+        rungs = attempt_rungs(tree, root, 0, parent_trace.steps)
+        assert rungs and all(r.sweep is None for r in rungs)
+        mined = generator.candidates(parent_trace, root, rungs)
+        assert mined == generator.candidates(parent_trace, root)
+        assert all(r.sweep is not None and r.sweep.events == r.events for r in rungs)
+        resumed = 0
+        for candidate in mined:
+            depth = resume_depth(candidate.parent_steps, candidate.safe_prefix)
+            if candidate.flip is None or depth <= 0:
+                continue
+            plan = ResumePlan(
+                flip=candidate.flip, depth=depth,
+                parent_steps=candidate.parent_steps,
+            )
+            child = candidate.constraints
+            trace, _ = run_attempt(ctx, child, 0, resume=plan, tree=tree)
+            child_rungs = attempt_rungs(tree, child, 0, trace.steps)
+            # the rungs aliased from the parent carry its checkpoints, and
+            # the sweep starts at the deepest of them
+            start = max(r.events for r in child_rungs if r.sweep is not None)
+            warm = generator.candidates(trace, child, child_rungs)
+            assert sweeps[-1].resumed_at == start > 0
+            assert warm == generator.candidates(trace, child)
+            assert all(r.sweep is not None for r in child_rungs)
+            resumed += 1
+            if resumed >= 4:
+                break
+        assert resumed > 0, f"{bug_id}: no resumable candidate mined"
+        assert tree.fallbacks == 0

@@ -17,6 +17,7 @@ headline assertions:
 import http.client
 import json
 import socket
+import threading
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.core.recorder import record
 from repro.core.reproducer import render_report, reproduce
 from repro.core.sketches import SketchKind
 from repro.service import JobRequest, ServiceClient, ServiceError, ServiceThread
+from repro.service.jobs import JobManager
 from repro.sim import MachineConfig
 
 BUG = "pbzip2-order-free"
@@ -34,12 +36,28 @@ MAX_ATTEMPTS = 200
 
 
 def _slow_request(**overrides):
-    """A request that runs long enough (~0.4s: server-side seed search
-    plus a 19-attempt exploration) that submits racing it — queue-full,
-    budget-full, cancel-while-queued — are deterministic in practice."""
-    fields = dict(bug="mysql-atom-log", seed=None)
+    """A request that holds its slot until the test sets the ``held``
+    event, so submits racing it — queue-full, budget-full,
+    cancel-while-queued — are deterministic however fast the job runs."""
+    fields = dict(bug="mysql-atom-log", seed=None, meta={"hold": "yes"})
     fields.update(overrides)
     return JobRequest(**fields)
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """Jobs from :func:`_slow_request` start only once this event is set."""
+    release = threading.Event()
+    execute = JobManager._execute
+
+    def gated(self, job):
+        if job.request.meta.get("hold"):
+            release.wait(60.0)
+        return execute(self, job)
+
+    monkeypatch.setattr(JobManager, "_execute", gated)
+    yield release
+    release.set()
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +153,7 @@ class TestErrors:
             client.status("j999999")
         assert err.value.status == 404
 
-    def test_result_before_done_409(self, tmp_path):
+    def test_result_before_done_409(self, tmp_path, held):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, pool_jobs=2
         ) as svc:
@@ -146,6 +164,7 @@ class TestErrors:
             with pytest.raises(ServiceError) as err:
                 local.result(queued["id"])
             assert err.value.status == 409
+            held.set()
             for doc in (running, queued):
                 local.wait_for(doc["id"])
 
@@ -165,7 +184,7 @@ class TestErrors:
 
 
 class TestBackpressure:
-    def test_tenant_budget_refuses_with_429(self, tmp_path):
+    def test_tenant_budget_refuses_with_429(self, tmp_path, held):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, tenant_slots=1, pool_jobs=2
         ) as svc:
@@ -176,13 +195,14 @@ class TestBackpressure:
             assert err.value.status == 429
             # Another tenant is unaffected by the noisy neighbour.
             other = local.submit(JobRequest(bug=BUG, seed=SEED, tenant="calm"))
+            held.set()
             local.wait_for(first["id"])
             local.wait_for(other["id"])
             # Budget freed: the same tenant is admitted again.
             retry = local.submit(JobRequest(bug=BUG, seed=SEED, tenant="busy"))
             assert local.wait_for(retry["id"])["state"] == "done"
 
-    def test_queue_bound_refuses_with_429(self, tmp_path):
+    def test_queue_bound_refuses_with_429(self, tmp_path, held):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, max_queued=1, pool_jobs=2
         ) as svc:
@@ -194,6 +214,7 @@ class TestBackpressure:
             with pytest.raises(ServiceError) as err:
                 local.submit(JobRequest(bug=BUG, seed=SEED))
             assert err.value.status == 429
+            held.set()
             for job_id in admitted:
                 local.wait_for(job_id)
 
@@ -205,7 +226,7 @@ class TestLifecycle:
         counters = client.metrics()["counters"]
         assert counters["service.submitted"] >= counters["service.done"] > 0
 
-    def test_cancel_queued_job(self, tmp_path):
+    def test_cancel_queued_job(self, tmp_path, held):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, pool_jobs=2
         ) as svc:
@@ -214,6 +235,7 @@ class TestLifecycle:
             queued = local.submit(JobRequest(bug=BUG, seed=SEED))
             cancelled = local.cancel(queued["id"])
             assert cancelled["state"] == "cancelled"
+            held.set()
             assert local.wait_for(running["id"])["state"] == "done"
 
     def test_drain_finishes_running_jobs_and_flushes_the_store(self, tmp_path):

@@ -117,6 +117,45 @@ class TestRecordRoundTrip:
         )
         assert decoded.schedule is None
 
+    def test_unmined_outcome_round_trips_as_null(self):
+        key = _key()
+        unmined = replace(_outcome(key), candidates=None)
+        record = encode_record(key, unmined, (0, 0))
+        assert record["outcome"]["candidates"] is None
+        _, decoded, _ = decode_record(_wire(record))
+        assert decoded.candidates is None
+        assert decoded == unmined
+
+    def test_records_holding_candidate_lists_still_decode(self):
+        # The shape every record had before unmined outcomes existed:
+        # ``candidates`` is always a list, possibly empty.
+        ref = {"tid": 1, "family": "rw", "key": {"__t": ["seg", 3]},
+               "occurrence": 0}
+        old = {
+            "key": {
+                "sketch": "sync", "entries": 9, "fingerprint": FP,
+                "constraints": [], "seed": 7, "policy": "random",
+                "match_output": False,
+            },
+            "outcome": {
+                "outcome": "diverged", "detail": "d", "steps": 12,
+                "matched": False, "fingerprint": "fp:abc",
+                "candidates": [{
+                    "constraints": [{"before": ref, "after": ref}],
+                    "depth": 1, "anchor": 5, "shape": 0, "tier": 3,
+                    "rank": 0,
+                }],
+                "schedule": None,
+            },
+            "tick": [1, 2],
+        }
+        _, decoded, tick = decode_record(_wire(old))
+        (candidate,) = decoded.candidates
+        assert candidate.depth == 1 and candidate.flip is None
+        assert tick == (1, 2)
+        empty = dict(old, outcome=dict(old["outcome"], candidates=[]))
+        assert decode_record(_wire(empty))[1].candidates == ()
+
     def test_spans_never_reach_the_wire(self):
         key = _key()
         outcome = _outcome(key)
@@ -143,6 +182,13 @@ class TestDamage:
                     gutted_outcome):
             with pytest.raises(SketchFormatError):
                 decode_record(bad)
+
+    def test_non_list_candidates_raise(self):
+        good = self._good()
+        for bad in ({}, {"constraints": []}, "abc", 7, True):
+            record = dict(good, outcome=dict(good["outcome"], candidates=bad))
+            with pytest.raises(SketchFormatError):
+                decode_record(record)
 
     def test_damaged_key_raises_not_crashes(self):
         good = self._good()
