@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.sim.ops import Address, Op, OpKind
+from repro.sim.ops import Address, Op, OpKind, slot_setters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """One executed operation in the global order.
 
@@ -43,21 +43,50 @@ class Event:
     value: Any = None
     cpu: int = 0
 
+    def __init__(
+        self,
+        gidx: int,
+        tid: int,
+        kind: OpKind,
+        addr: Optional[Address] = None,
+        obj: Any = None,
+        name: Optional[str] = None,
+        label: Optional[str] = None,
+        args: Tuple[Any, ...] = (),
+        value: Any = None,
+        cpu: int = 0,
+    ) -> None:
+        # Slot-descriptor setters, as in :class:`~repro.sim.ops.Op`: the
+        # machine builds one event per step.
+        (set_gidx, set_tid, set_kind, set_addr, set_obj, set_name,
+         set_label, set_args, set_value, set_cpu) = _EVENT_SETTERS
+        set_gidx(self, gidx)
+        set_tid(self, tid)
+        set_kind(self, kind)
+        set_addr(self, addr)
+        set_obj(self, obj)
+        set_name(self, name)
+        set_label(self, label)
+        set_args(self, args)
+        set_value(self, value)
+        set_cpu(self, cpu)
+
     @classmethod
     def from_op(
         cls, gidx: int, tid: int, cpu: int, op: Op, value: Any = None
     ) -> "Event":
+        kind = op.kind
         return cls(
-            gidx=gidx,
-            tid=tid,
-            kind=op.kind,
-            addr=op.addr,
-            obj=op.obj,
-            name=op.name,
-            label=op.label,
-            args=op.args if op.kind is OpKind.SYSCALL else (),
-            value=value,
-            cpu=cpu,
+            gidx,
+            tid,
+            kind,
+            op.addr,
+            op.obj,
+            op.name,
+            op.label,
+            op.args if kind is OpKind.SYSCALL else (),
+            value,
+            cpu,
         )
 
     def signature(self) -> Tuple[Any, ...]:
@@ -80,3 +109,6 @@ class Event:
         if self.label is not None:
             parts.append(self.label)
         return " ".join(parts)
+
+
+_EVENT_SETTERS = slot_setters(Event)

@@ -47,7 +47,7 @@ from repro.errors import (
 from repro.sim.events import Event
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.memory import SharedMemory
-from repro.sim.ops import Op, OpKind
+from repro.sim.ops import MEMORY_KINDS, Op, OpKind
 from repro.sim.persist import event_row, trace_meta
 from repro.sim.program import Program, ThreadContext
 from repro.sim.scheduler import Scheduler, validate_pick
@@ -71,6 +71,24 @@ GUARDED_KINDS = frozenset(
         OpKind.SYSCALL,
     }
 )
+
+#: Kinds whose step touches nothing but the stepping thread's own clock
+#: and generator.  :meth:`Machine._perform` tests them first.
+INERT_KINDS = frozenset(
+    {
+        OpKind.LOCAL,
+        OpKind.YIELD,
+        OpKind.BASIC_BLOCK,
+        OpKind.FUNC_ENTER,
+        OpKind.FUNC_EXIT,
+    }
+)
+
+#: Kinds whose step changes no sync object, kernel state or other
+#: thread's status.  While the stepper stays READY after one of these,
+#: every other thread's runnability is unchanged, so
+#: :meth:`Machine.runnable_tids` re-tests only the stepper.
+LOCAL_STEP_KINDS = MEMORY_KINDS | INERT_KINDS
 
 
 class ThreadStatus(enum.Enum):
@@ -167,6 +185,10 @@ class Machine:
         self._next_tid = 0
         self._ran = False
         self._resumed = False
+        #: last runnable set (ascending), or None when a full scan is due
+        self._runnable: Optional[List[int]] = None
+        #: thread whose local step is the only change since ``_runnable``
+        self._stepped: Optional[int] = None
 
     # -- public API -------------------------------------------------------
 
@@ -202,24 +224,30 @@ class Machine:
             self.scheduler.on_run_start(self)
         for observer in self.observers:
             observer.on_start(self)
+        self._runnable = None
 
         depths = frozenset(snapshot_depths)
+        runnable_tids = self.runnable_tids
+        pick = self.scheduler.pick
+        step = self._step
+        schedule = self.schedule
+        max_steps = self.config.max_steps
 
         while self.failure is None:
             if on_snapshot is not None and (
-                len(self.schedule) in depths
+                len(schedule) in depths
                 or (snapshot_when is not None and snapshot_when(self))
             ):
                 on_snapshot(self)
-            if stop_after is not None and len(self.schedule) >= stop_after:
+            if stop_after is not None and len(schedule) >= stop_after:
                 break
-            runnable = self.runnable_tids()
+            runnable = runnable_tids()
             if not runnable:
                 if all(ts.finished for ts in self.threads.values()):
                     break
                 self.failure = self._diagnose_stuck()
                 break
-            if len(self.schedule) >= self.config.max_steps:
+            if len(schedule) >= max_steps:
                 self.failure = Failure(
                     kind=FailureKind.TIMEOUT,
                     where="step budget exhausted",
@@ -227,15 +255,16 @@ class Machine:
                 )
                 break
             try:
-                tid = self.scheduler.pick(self, runnable)
+                tid = pick(self, runnable)
             except ReplayDivergence as diverged:
                 # A replay scheduler proved the attempt cannot follow its
                 # recorded order; end the run with the prefix trace.
                 self.divergence = diverged.reason
                 break
-            validate_pick(tid, runnable)
-            self.schedule.append(tid)
-            self._step(tid)
+            if tid not in runnable:
+                validate_pick(tid, runnable)  # raises
+            schedule.append(tid)
+            step(tid)
 
         trace = self._build_trace()
         if self.event_journal is not None:
@@ -248,14 +277,23 @@ class Machine:
         return trace
 
     def runnable_tids(self) -> List[int]:
-        """Threads whose pending operation can complete now (ascending)."""
-        ready = ThreadStatus.READY
-        runnable = []
-        for ts in self.threads.values():
-            if ts.status is ready and ts.pending_op is not None:
-                if ts.pending_op.kind not in GUARDED_KINDS or self._can_execute(ts):
-                    runnable.append(ts.tid)
-        return runnable
+        """Threads whose pending operation can complete now (ascending).
+
+        Returns a fresh list.  After a local step (see
+        ``LOCAL_STEP_KINDS``) only the stepper is re-tested; any other
+        step, run start and :meth:`restore_state` force a full scan.
+        """
+        runnable = self._runnable
+        if runnable is None:
+            runnable = self._runnable = [
+                ts.tid for ts in self.threads.values() if self._is_runnable(ts)
+            ]
+        elif self._stepped is not None:
+            tid = self._stepped
+            self._stepped = None
+            if not self._is_runnable(self.threads[tid]):
+                runnable.remove(tid)
+        return runnable.copy()
 
     def pending_op_of(self, tid: int) -> Optional[Op]:
         """The operation thread ``tid`` will perform when next scheduled.
@@ -356,6 +394,8 @@ class Machine:
         for meta in mutable["threads"]:
             ts = self._rebuild_thread(meta)
             self.threads[ts.tid] = ts
+        self._runnable = None
+        self._stepped = None
         self._resumed = True
 
     def _rebuild_thread(self, meta: Dict[str, Any]) -> ThreadState:
@@ -459,6 +499,14 @@ class Machine:
 
     # -- runnability ------------------------------------------------------------
 
+    def _is_runnable(self, ts: ThreadState) -> bool:
+        op = ts.pending_op
+        return (
+            ts.status is ThreadStatus.READY
+            and op is not None
+            and (op.kind not in GUARDED_KINDS or self._can_execute(ts))
+        )
+
     def _can_execute(self, ts: ThreadState) -> bool:
         op = ts.pending_op
         if op is None:
@@ -493,6 +541,7 @@ class Machine:
             result, emit, advance = self._perform(ts, op)
         except SimProgramError as exc:
             self._fail_thread(ts, exc)
+            self._runnable = None
             return
 
         if emit:
@@ -513,6 +562,12 @@ class Machine:
                 )
         if advance and self.failure is None:
             self._advance(ts, result)
+        # A stepper that leaves READY (finished, failed, parked) may
+        # unblock a joiner or release a waiter: rescan everyone.
+        if op.kind in LOCAL_STEP_KINDS and ts.status is ThreadStatus.READY:
+            self._stepped = tid
+        else:
+            self._runnable = None
 
     def _perform(self, ts: ThreadState, op: Op):
         """Apply the op's effect.
@@ -520,6 +575,8 @@ class Machine:
         Returns ``(result, emit_event, advance_generator)``.
         """
         kind = op.kind
+        if kind in INERT_KINDS:
+            return None, True, True
         tid = ts.tid
 
         # Memory -----------------------------------------------------------
@@ -628,11 +685,7 @@ class Machine:
             result = self.kernel.execute(op.name, op.args, now=len(self.events))
             return result, True, True
 
-        # Markers, local work, checks ---------------------------------------------------
-        if kind in (OpKind.FUNC_ENTER, OpKind.FUNC_EXIT, OpKind.BASIC_BLOCK):
-            return None, True, True
-        if kind in (OpKind.LOCAL, OpKind.YIELD):
-            return None, True, True
+        # Checks -----------------------------------------------------------------------
         if kind is OpKind.ASSERT:
             if not op.value:
                 self.failure = Failure(

@@ -17,7 +17,7 @@ defined as subsets of this vocabulary (see :mod:`repro.core.sketches`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Tuple
 
 Address = Any  # a string, or a tuple like ("buf", 3); must be hashable
@@ -121,7 +121,7 @@ BLOCKING_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Op:
     """One operation yielded by a simulated thread.
 
@@ -154,6 +154,35 @@ class Op:
     msg: Optional[str] = None
     cost: int = 1
 
+    def __init__(
+        self,
+        kind: OpKind,
+        addr: Optional[Address] = None,
+        value: Any = None,
+        obj: Any = None,
+        name: Optional[str] = None,
+        args: Tuple[Any, ...] = (),
+        func: Optional[Callable[..., Any]] = None,
+        label: Optional[str] = None,
+        msg: Optional[str] = None,
+        cost: int = 1,
+    ) -> None:
+        # The generated frozen ``__init__`` routes every field through
+        # ``object.__setattr__``; the slot descriptors' own setters skip
+        # that attribute lookup.  One op is built per simulated step.
+        (set_kind, set_addr, set_value, set_obj, set_name, set_args,
+         set_func, set_label, set_msg, set_cost) = _OP_SETTERS
+        set_kind(self, kind)
+        set_addr(self, addr)
+        set_value(self, value)
+        set_obj(self, obj)
+        set_name(self, name)
+        set_args(self, args)
+        set_func(self, func)
+        set_label(self, label)
+        set_msg(self, msg)
+        set_cost(self, cost)
+
     def is_memory_access(self) -> bool:
         """Whether this op reads or writes shared memory."""
         return self.kind in MEMORY_KINDS
@@ -182,3 +211,15 @@ class Op:
         if self.kind is OpKind.ASSERT:
             return f"assert({self.msg})"
         return kind
+
+
+def slot_setters(cls: type) -> Tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    A frozen slotted dataclass forbids ``setattr``; its hand-written
+    ``__init__`` assigns through these instead.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_OP_SETTERS = slot_setters(Op)

@@ -1,8 +1,21 @@
 """Unit tests for Event records and the failure taxonomy."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields
+
+import pytest
+
 from repro.sim.events import Event
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.ops import Op, OpKind
+
+from tests.sim.test_ops import BUILDERS, built_ops
+
+EVENT_FIELDS = [
+    "gidx", "tid", "kind", "addr", "obj", "name", "label", "args", "value",
+    "cpu",
+]
 
 
 class TestEvent:
@@ -48,6 +61,96 @@ class TestEvent:
         event = Event.from_op(7, 3, 0, Op(OpKind.LOCK, obj="m"))
         text = event.describe()
         assert "T3" in text and "lock" in text and "#7" in text
+
+
+def events_of(build):
+    return [
+        Event.from_op(gidx, 2, 1, op, value=("v", gidx))
+        for gidx, op in enumerate(built_ops(build))
+    ]
+
+
+@pytest.mark.parametrize(
+    "build", [b[1] for b in BUILDERS], ids=[b[0] for b in BUILDERS]
+)
+class TestEventValueSemantics:
+    def test_from_op_field_values(self, build):
+        for gidx, (op, event) in enumerate(
+            zip(built_ops(build), events_of(build))
+        ):
+            assert {f: getattr(event, f) for f in EVENT_FIELDS} == {
+                "gidx": gidx,
+                "tid": 2,
+                "kind": op.kind,
+                "addr": op.addr,
+                "obj": op.obj,
+                "name": op.name,
+                "label": op.label,
+                "args": op.args if op.kind is OpKind.SYSCALL else (),
+                "value": ("v", gidx),
+                "cpu": 1,
+            }
+
+    def test_equal_and_hash_equal_when_rebuilt(self, build):
+        for event, again in zip(events_of(build), events_of(build)):
+            assert event == again and hash(event) == hash(again)
+            assert event == Event(**{f: getattr(event, f) for f in EVENT_FIELDS})
+            assert event != Event.from_op(
+                event.gidx + 1, event.tid, event.cpu, built_ops(build)[0]
+            )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, build, protocol):
+        for event in events_of(build):
+            back = pickle.loads(pickle.dumps(event, protocol=protocol))
+            assert back == event and hash(back) == hash(event)
+            assert repr(back) == repr(event)
+
+    def test_deepcopy(self, build):
+        for event in events_of(build):
+            clone = copy.deepcopy(event)
+            assert clone == event and repr(clone) == repr(event)
+
+    def test_assignment_raises(self, build):
+        for event in events_of(build):
+            for name in EVENT_FIELDS:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(event, name, 0)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(event, name)
+
+
+class TestEventIdentity:
+    def test_field_order(self):
+        assert [f.name for f in fields(Event)] == EVENT_FIELDS
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert Event(4, 1, OpKind.READ, "x", value=9) == Event(
+            gidx=4, tid=1, kind=OpKind.READ, addr="x", obj=None, name=None,
+            label=None, args=(), value=9, cpu=0,
+        )
+
+    @pytest.mark.parametrize(
+        "event, golden",
+        [
+            (Event.from_op(3, 1, 0, Op(OpKind.SYSCALL, name="send",
+                                       args=("c", 7))),
+             "Event(gidx=3, tid=1, kind=<OpKind.SYSCALL: 'syscall'>, "
+             "addr=None, obj=None, name='send', label=None, args=('c', 7), "
+             "value=None, cpu=0)"),
+            (Event.from_op(0, 2, 1, Op(OpKind.WRITE, addr=("a", 1), value=5),
+                           value=5),
+             "Event(gidx=0, tid=2, kind=<OpKind.WRITE: 'write'>, "
+             "addr=('a', 1), obj=None, name=None, label=None, args=(), "
+             "value=5, cpu=1)"),
+            (Event.from_op(7, 0, 3, Op(OpKind.COND_WAIT, obj=("cv", "m"))),
+             "Event(gidx=7, tid=0, kind=<OpKind.COND_WAIT: 'cond_wait'>, "
+             "addr=None, obj=('cv', 'm'), name=None, label=None, args=(), "
+             "value=None, cpu=3)"),
+        ],
+    )
+    def test_repr_golden(self, event, golden):
+        assert repr(event) == golden
 
 
 class TestFailure:

@@ -1,5 +1,9 @@
 """Unit tests for the operation vocabulary and ThreadContext constructors."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from repro.sim.ops import (
@@ -140,3 +144,177 @@ class TestDescribe:
         op = ctx.read("x")
         with pytest.raises(Exception):
             op.addr = "y"
+
+
+# -- value semantics ----------------------------------------------------------
+#
+# Ops are shared, hashed into dict keys, pickled into pool tasks and
+# snapshots, and deep-copied by snapshots.  These tests pin the contract for
+# every ThreadContext builder, whatever the class's storage layout.
+
+OP_FIELDS = [
+    "kind", "addr", "value", "obj", "name", "args", "func", "label", "msg",
+    "cost",
+]
+OP_DEFAULTS = {name: None for name in OP_FIELDS}
+OP_DEFAULTS.update(args=(), cost=1)
+
+
+def _increment(value):
+    return value + 1
+
+
+def _child(ctx, *args):
+    yield ctx.local()
+
+
+def _helper(ctx):
+    yield ctx.local()
+    return 3
+
+
+#: (builder id, ThreadContext call, expected non-default fields per op)
+BUILDERS = [
+    ("read", lambda c: c.read("x", cost=2),
+     [dict(kind=OpKind.READ, addr="x", cost=2)]),
+    ("write", lambda c: c.write(("a", 1), 42),
+     [dict(kind=OpKind.WRITE, addr=("a", 1), value=42)]),
+    ("rmw", lambda c: c.rmw("n", _increment),
+     [dict(kind=OpKind.RMW, addr="n", value=_increment, cost=2)]),
+    ("cas", lambda c: c.cas("x", 1, 2),
+     [dict(kind=OpKind.CAS, addr="x", value=(1, 2), cost=2)]),
+    ("free", lambda c: c.free(("buf", 0)),
+     [dict(kind=OpKind.FREE, addr=("buf", 0))]),
+    ("lock", lambda c: c.lock("m"), [dict(kind=OpKind.LOCK, obj="m")]),
+    ("trylock", lambda c: c.trylock("m"),
+     [dict(kind=OpKind.TRYLOCK, obj="m")]),
+    ("unlock", lambda c: c.unlock("m"), [dict(kind=OpKind.UNLOCK, obj="m")]),
+    ("rdlock", lambda c: c.rdlock("rw"), [dict(kind=OpKind.RDLOCK, obj="rw")]),
+    ("wrlock", lambda c: c.wrlock("rw"), [dict(kind=OpKind.WRLOCK, obj="rw")]),
+    ("rwunlock", lambda c: c.rwunlock("rw"),
+     [dict(kind=OpKind.RWUNLOCK, obj="rw")]),
+    ("wait", lambda c: c.wait("cv", "m"),
+     [dict(kind=OpKind.COND_WAIT, obj=("cv", "m"))]),
+    ("signal", lambda c: c.signal("cv"),
+     [dict(kind=OpKind.COND_SIGNAL, obj="cv")]),
+    ("broadcast", lambda c: c.broadcast("cv"),
+     [dict(kind=OpKind.COND_BROADCAST, obj="cv")]),
+    ("sem_acquire", lambda c: c.sem_acquire("s"),
+     [dict(kind=OpKind.SEM_ACQUIRE, obj="s")]),
+    ("sem_release", lambda c: c.sem_release("s"),
+     [dict(kind=OpKind.SEM_RELEASE, obj="s")]),
+    ("barrier", lambda c: c.barrier("b"),
+     [dict(kind=OpKind.BARRIER_WAIT, obj="b")]),
+    ("spawn", lambda c: c.spawn(_child, 1, 2),
+     [dict(kind=OpKind.SPAWN, func=_child, args=(1, 2), name="_child")]),
+    ("join", lambda c: c.join(3), [dict(kind=OpKind.JOIN, obj=3)]),
+    ("syscall", lambda c: c.syscall("send", "ch", 7),
+     [dict(kind=OpKind.SYSCALL, name="send", args=("ch", 7))]),
+    ("output", lambda c: c.output("v"),
+     [dict(kind=OpKind.SYSCALL, name="write_stdout", args=("v",))]),
+    ("rand", lambda c: c.rand(5),
+     [dict(kind=OpKind.SYSCALL, name="rand", args=(5,))]),
+    ("now", lambda c: c.now(), [dict(kind=OpKind.SYSCALL, name="now")]),
+    ("sleep", lambda c: c.sleep(3),
+     [dict(kind=OpKind.SYSCALL, name="sleep", args=(3,))]),
+    ("epoch_barrier", lambda c: c.epoch_barrier(),
+     [dict(kind=OpKind.SYSCALL, name="epoch_barrier")]),
+    ("bb", lambda c: c.bb("L1"),
+     [dict(kind=OpKind.BASIC_BLOCK, label="L1", cost=0)]),
+    ("call", lambda c: list(c.call(_helper)),
+     [dict(kind=OpKind.FUNC_ENTER, name="_helper", cost=0),
+      dict(kind=OpKind.LOCAL),
+      dict(kind=OpKind.FUNC_EXIT, name="_helper", cost=0)]),
+    ("local", lambda c: c.local(4), [dict(kind=OpKind.LOCAL, cost=4)]),
+    ("work", lambda c: list(c.work(2, cost=3)),
+     [dict(kind=OpKind.LOCAL, cost=3)] * 2),
+    ("cpu_yield", lambda c: c.cpu_yield(),
+     [dict(kind=OpKind.YIELD, cost=0)]),
+    ("check", lambda c: c.check(0, "inv"),
+     [dict(kind=OpKind.ASSERT, value=False, msg="inv", cost=0)]),
+    ("free_region", lambda c: list(c.free_region("buf", [0])),
+     [dict(kind=OpKind.FREE, addr=("buf", 0)),
+      dict(kind=OpKind.FREE, addr="buf")]),
+]
+
+
+def built_ops(build):
+    made = build(ThreadContext(tid=1))
+    return made if isinstance(made, list) else [made]
+
+
+def _field_values(obj, names):
+    return {name: getattr(obj, name) for name in names}
+
+
+@pytest.mark.parametrize(
+    "build, expected", [b[1:] for b in BUILDERS], ids=[b[0] for b in BUILDERS]
+)
+class TestOpValueSemantics:
+    def test_field_values(self, build, expected):
+        ops = built_ops(build)
+        assert len(ops) == len(expected)
+        for op, want in zip(ops, expected):
+            assert _field_values(op, OP_FIELDS) == {**OP_DEFAULTS, **want}
+
+    def test_equal_and_hash_equal_when_rebuilt(self, build, expected):
+        for op, again in zip(built_ops(build), built_ops(build)):
+            assert op == again and hash(op) == hash(again)
+            assert op == Op(**_field_values(op, OP_FIELDS))
+            assert op != replace(op, cost=op.cost + 1)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, build, expected, protocol):
+        for op in built_ops(build):
+            back = pickle.loads(pickle.dumps(op, protocol=protocol))
+            assert back == op and hash(back) == hash(op)
+            assert repr(back) == repr(op)
+            assert back.func is op.func
+
+    def test_deepcopy(self, build, expected):
+        for op in built_ops(build):
+            clone = copy.deepcopy(op)
+            assert clone == op and repr(clone) == repr(op)
+            assert clone.func is op.func
+
+    def test_assignment_raises(self, build, expected):
+        for op in built_ops(build):
+            for name in OP_FIELDS:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(op, name, 0)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(op, name)
+
+
+class TestOpIdentity:
+    def test_field_order(self):
+        assert [f.name for f in fields(Op)] == OP_FIELDS
+
+    def test_func_is_excluded_from_eq_and_hash(self):
+        a = Op(OpKind.SPAWN, func=_child, args=(1,), name="w")
+        b = Op(OpKind.SPAWN, func=_helper, args=(1,), name="w")
+        assert a == b and hash(a) == hash(b)
+
+    def test_defaults_match_the_positional_signature(self):
+        assert Op(OpKind.LOCAL) == Op(
+            OpKind.LOCAL, None, None, None, None, (), None, None, None, 1
+        )
+
+    @pytest.mark.parametrize(
+        "op, golden",
+        [
+            (Op(OpKind.READ, addr="x"),
+             "Op(kind=<OpKind.READ: 'read'>, addr='x', value=None, obj=None, "
+             "name=None, args=(), func=None, label=None, msg=None, cost=1)"),
+            (Op(OpKind.COND_WAIT, obj=("cv", "m")),
+             "Op(kind=<OpKind.COND_WAIT: 'cond_wait'>, addr=None, value=None, "
+             "obj=('cv', 'm'), name=None, args=(), func=None, label=None, "
+             "msg=None, cost=1)"),
+            (Op(OpKind.SYSCALL, name="send", args=("ch", 7)),
+             "Op(kind=<OpKind.SYSCALL: 'syscall'>, addr=None, value=None, "
+             "obj=None, name='send', args=('ch', 7), func=None, label=None, "
+             "msg=None, cost=1)"),
+        ],
+    )
+    def test_repr_golden(self, op, golden):
+        assert repr(op) == golden
