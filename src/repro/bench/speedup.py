@@ -77,6 +77,8 @@ class SpeedupArm:
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan.
     prefix_hits: int = 0
+    #: attempts answered from an equivalent folded attempt, unrun.
+    equivalent_skips: int = 0
     #: serial wall time / this arm's wall time (1.0 for the serial arm,
     #: the engine at ``jobs=1``).
     speedup: float = 1.0
@@ -92,6 +94,7 @@ class SpeedupArm:
             "wall_time_s": round(self.wall_time_s, 6),
             "cache_hits": self.cache_hits,
             "prefix_hits": self.prefix_hits,
+            "equivalent_skips": self.equivalent_skips,
             "speedup": round(self.speedup, 3),
             "matches_serial": self.matches_serial,
         }
@@ -215,6 +218,7 @@ def run_speedup(
             success=serial_report.success,
             wall_time_s=serial_wall,
             prefix_hits=serial_report.prefix_hits,
+            equivalent_skips=serial_report.equivalent_skips,
         )
     )
 
@@ -231,6 +235,7 @@ def run_speedup(
                 success=report.success,
                 wall_time_s=wall,
                 prefix_hits=report.prefix_hits,
+                equivalent_skips=report.equivalent_skips,
                 speedup=serial_wall / wall if wall > 0 else float("inf"),
                 matches_serial=_same_outcome(report, serial_report),
             )
@@ -253,6 +258,7 @@ def run_speedup(
             wall_time_s=warm_wall,
             cache_hits=warm_report.cache_hits,
             prefix_hits=warm_report.prefix_hits,
+            equivalent_skips=warm_report.equivalent_skips,
             speedup=cold_wall / warm_wall if warm_wall > 0 else float("inf"),
             matches_serial=_same_outcome(warm_report, serial_report),
         )
@@ -267,6 +273,7 @@ def run_speedup(
             f"{arm.wall_time_s:.2f}",
             arm.cache_hits,
             arm.prefix_hits,
+            arm.equivalent_skips,
             f"{arm.speedup:.2f}x",
             "yes" if arm.matches_serial else "NO",
         ]
@@ -301,7 +308,8 @@ def run_speedup(
             f"cap {max_attempts}, ODR-strict)"
         ),
         headers=["arm", "jobs", "attempts", "success", "wall s",
-                 "cache hits", "prefix hits", "speedup", "= serial"],
+                 "cache hits", "prefix hits", "equiv skips", "speedup",
+                 "= serial"],
         rows=rows,
         records=[arm.to_record() for arm in arms],
         meta=meta,

@@ -150,36 +150,91 @@ def _acquire_key(event_kind: OpKind, obj: object, value: object) -> Optional[str
     return None
 
 
+#: pending-op kinds a ``lock`` ref matches: every mutex and
+#: reader-writer acquire, including a TRYLOCK that will fail — blocking
+#: it until a constraint is satisfied is still sound (just conservative).
+LOCK_ATTEMPT_KINDS = frozenset(
+    {OpKind.LOCK, OpKind.TRYLOCK, OpKind.RDLOCK, OpKind.WRLOCK}
+)
+
+#: pending-op kinds that can be the action a ``mem`` or ``lock`` ref names
+MEM_OR_LOCK_KINDS = MEMORY_KINDS | LOCK_ATTEMPT_KINDS
+
+#: marks an occurrence whose op was never allowed (see
+#: :meth:`OccurrenceCounter.allow`)
+NEVER = -1
+
+
 class OccurrenceCounter:
-    """Counts executed actions so EventRefs can be resolved online."""
+    """Records executed actions so EventRefs can be resolved online.
+
+    Per ``(tid, address)`` and per ``(tid, mutex)`` it keeps the global
+    index of every executed memory access and lock acquisition, in
+    order, so an action's occurrence count is its list's length.  Per
+    ``(tid, region)`` it keeps only the count.
+
+    Under the same keys it also keeps, per occurrence, the first step
+    at which the action was pending on a thread the PIR scheduler
+    allowed (:meth:`allow`).  With the executed steps, that is the
+    run's gate footprint (see :mod:`repro.core.footprint`).
+    """
 
     def __init__(self) -> None:
-        self._mem: Dict[Tuple[int, Address], int] = {}
-        self._lock: Dict[Tuple[int, str], int] = {}
+        self._mem: Dict[Tuple[int, Address], List[int]] = {}
+        self._lock: Dict[Tuple[int, str], List[int]] = {}
         self._region: Dict[Tuple[int, Address], int] = {}
+        self._allowed_mem: Dict[Tuple[int, Address], List[int]] = {}
+        self._allowed_lock: Dict[Tuple[int, str], List[int]] = {}
 
     def observe(self, event: Event) -> None:
         """Account one executed event."""
         if event.kind in MEMORY_KINDS:
             key = (event.tid, event.addr)
-            self._mem[key] = self._mem.get(key, 0) + 1
+            steps = self._mem.get(key)
+            if steps is None:
+                steps = self._mem[key] = []
+            steps.append(event.gidx)
             rkey = (event.tid, region_key(event.addr))
             self._region[rkey] = self._region.get(rkey, 0) + 1
         else:
             mutex = _acquire_key(event.kind, event.obj, event.value)
             if mutex is not None:
                 key = (event.tid, mutex)
-                self._lock[key] = self._lock.get(key, 0) + 1
+                steps = self._lock.get(key)
+                if steps is None:
+                    steps = self._lock[key] = []
+                steps.append(event.gidx)
+
+    def allow(self, tid: int, op: Op, step: int) -> None:
+        """Note that ``op``, pending on ``tid``, was allowed at ``step``.
+
+        ``op.kind`` must be in :data:`MEM_OR_LOCK_KINDS`.  Only the
+        first step an occurrence is allowed is kept; occurrences never
+        allowed read :data:`NEVER`.
+        """
+        if op.kind in MEMORY_KINDS:
+            key = (tid, op.addr)
+            done = len(self._mem.get(key, ()))
+            table = self._allowed_mem
+        else:
+            key = (tid, op.obj)
+            done = len(self._lock.get(key, ()))
+            table = self._allowed_lock
+        steps = table.get(key)
+        if steps is None:
+            steps = table[key] = []
+        if len(steps) > done:
+            return
+        while len(steps) < done:
+            steps.append(NEVER)
+        steps.append(step)
 
     def executed(self, ref: EventRef) -> bool:
         """Whether the named action has already happened."""
-        if ref.family == "mem":
-            table = self._mem
-        elif ref.family == "region":
-            table = self._region
-        else:
-            table = self._lock
-        return table.get((ref.tid, ref.key), 0) >= ref.occurrence
+        if ref.family == "region":
+            return self._region.get((ref.tid, ref.key), 0) >= ref.occurrence
+        table = self._mem if ref.family == "mem" else self._lock
+        return len(table.get((ref.tid, ref.key), ())) >= ref.occurrence
 
     def pending_matches(self, tid: int, op: Op, ref: EventRef) -> bool:
         """Whether executing ``op`` now would *be* the named action."""
@@ -188,48 +243,62 @@ class OccurrenceCounter:
         if ref.family == "mem":
             if op.kind not in MEMORY_KINDS or op.addr != ref.key:
                 return False
-            done = self._mem.get((tid, op.addr), 0)
+            done = len(self._mem.get((tid, op.addr), ()))
             return done + 1 == ref.occurrence
         if ref.family == "region":
             if op.kind not in MEMORY_KINDS or region_key(op.addr) != ref.key:
                 return False
             done = self._region.get((tid, ref.key), 0)
             return done + 1 == ref.occurrence
-        # lock family: TRYLOCK may fail, but blocking it until the
-        # constraint is satisfied is still sound (just conservative).
-        if (
-            op.kind not in (OpKind.LOCK, OpKind.TRYLOCK, OpKind.RDLOCK,
-                            OpKind.WRLOCK)
-            or op.obj != ref.key
-        ):
+        if op.kind not in LOCK_ATTEMPT_KINDS or op.obj != ref.key:
             return False
-        done = self._lock.get((tid, op.obj), 0)
+        done = len(self._lock.get((tid, op.obj), ()))
         return done + 1 == ref.occurrence
 
     def mem_count(self, tid: int, addr: Address) -> int:
-        return self._mem.get((tid, addr), 0)
+        return len(self._mem.get((tid, addr), ()))
 
     def lock_count(self, tid: int, mutex: str) -> int:
-        return self._lock.get((tid, mutex), 0)
+        return len(self._lock.get((tid, mutex), ()))
 
     def region_count(self, tid: int, region: Address) -> int:
         return self._region.get((tid, region), 0)
 
-    def capture(self) -> Tuple[Dict, Dict, Dict]:
-        """Snapshot the executed-action counts (for prefix resume)."""
-        return (dict(self._mem), dict(self._lock), dict(self._region))
+    def allowed_steps(self) -> Dict[str, Dict[Tuple[int, Any], List[int]]]:
+        """Per ref family, the first-allowed-step lists by ``(tid, key)``."""
+        return {"mem": self._allowed_mem, "lock": self._allowed_lock}
+
+    def executed_steps(self) -> Dict[str, Dict[Tuple[int, Any], List[int]]]:
+        """Per ref family, the executed-step lists by ``(tid, key)``."""
+        return {"mem": self._mem, "lock": self._lock}
+
+    def capture(self) -> Tuple[Dict, ...]:
+        """Snapshot the executed and allowed actions (for prefix resume)."""
+        return (
+            _copy_steps(self._mem), _copy_steps(self._lock),
+            dict(self._region),
+            _copy_steps(self._allowed_mem), _copy_steps(self._allowed_lock),
+        )
 
     def restore(self, state: Tuple[Dict, ...]) -> None:
-        """Load counts captured by :meth:`capture`.
+        """Load actions captured by :meth:`capture`.
 
-        Counts are constraint-independent — they track what *executed*,
-        which is identical for a parent attempt and a child resuming
-        inside the parent's safe prefix — so a snapshot taken under one
-        gate is valid under another whose constraints extend it.
+        They are constraint-independent — a child attempt resuming
+        inside its parent's safe prefix executed the same actions and
+        was allowed the same ones, because its extra constraint blocks
+        nothing there — so a snapshot taken under one gate is valid
+        under another whose constraints extend it.
         """
-        self._mem = dict(state[0])
-        self._lock = dict(state[1])
-        self._region = dict(state[2]) if len(state) > 2 else {}
+        self._mem = _copy_steps(state[0])
+        self._lock = _copy_steps(state[1])
+        self._region = dict(state[2])
+        self._allowed_mem = _copy_steps(state[3])
+        self._allowed_lock = _copy_steps(state[4])
+
+
+def _copy_steps(table: Dict[Any, List[int]]) -> Dict[Any, List[int]]:
+    """A copy of a ``key -> step list`` table sharing no list."""
+    return {key: steps[:] for key, steps in table.items()}
 
 
 class ConstraintGate:

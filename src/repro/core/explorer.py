@@ -56,6 +56,9 @@ class ExplorationResult:
     #: :mod:`repro.core.prefix`) — counted at batch assembly, so the
     #: figure is jobs-invariant, the same at ``jobs=1`` as in a pool.
     prefix_hits: int = 0
+    #: attempts answered from an equivalent folded attempt instead of a
+    #: replay (see :mod:`repro.core.footprint`); jobs-invariant too.
+    equivalent_skips: int = 0
     #: True when the search was cut short by a KeyboardInterrupt: the
     #: fields above describe a *partial* exploration, not a verdict.
     interrupted: bool = False

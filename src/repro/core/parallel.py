@@ -52,7 +52,10 @@ dispatched — their results could never be reported anyway.
 The attempt cache (:class:`~repro.core.feedback.AttemptCache`) sits in
 front of dispatch: a (constraints, seed) pair whose outcome is already
 memoized cannot produce a new interleaving, so it is folded straight from
-the cache without burning a worker.
+the cache without burning a worker.  Behind it, an attempt that provably
+repeats a folded one — its constraint set adds one constraint that the
+folded run's gate footprint shows could never bind — is folded from that
+outcome the same way (see :mod:`repro.core.footprint`).
 
 Fault tolerance is delegated to a :class:`~repro.robust.supervise.Supervisor`,
 which owns the pool: attempt deadlines, retry/backoff on worker death,
@@ -74,7 +77,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.core import shm
 from repro.core.constraints import ConstraintSet, canonical_order
@@ -96,6 +99,7 @@ from repro.core.feedback import (
     FeedbackGenerator,
     trace_fingerprint,
 )
+from repro.core.footprint import GateFootprint, PackedFootprint
 from repro.core.pir import PIRScheduler
 from repro.core.prefix import (
     PrefixTree,
@@ -196,6 +200,13 @@ class AttemptOutcome:
     #: stamped with the recording pid so the parent can assign worker
     #: lanes deterministically at fold time.  Stripped before caching.
     spans: Tuple[SpanRecord, ...] = ()
+    #: the attempt's gate footprint, which lets the engine answer
+    #: attempts equivalent to this one without running them (see
+    #: :mod:`repro.core.footprint`).  Never stored: stripped before
+    #: caching, like ``spans``.
+    footprint: Optional[Union[GateFootprint, PackedFootprint]] = field(
+        default=None, compare=False
+    )
 
 
 def run_attempt(
@@ -218,6 +229,9 @@ def run_attempt(
     resume failures of any kind fall back to a cold run — attempts are
     pure, so the trace is identical either way (property-tested in
     ``tests/core/test_prefix.py``).
+
+    An unmatched trace carries the attempt's finished gate footprint as
+    ``trace.footprint`` (see :mod:`repro.core.footprint`).
     """
     recorded = ctx.recorded
     machine = None
@@ -262,6 +276,8 @@ def run_attempt(
     )
     if matched and ctx.match_output:
         matched = trace.stdout == recorded.stdout
+    if not matched:
+        trace.footprint = GateFootprint.of(scheduler.gate.counter)
     return trace, matched
 
 
@@ -356,6 +372,7 @@ def _evaluate(
         candidates=candidates,
         schedule=schedule,
         spans=tuple(tracer.spans),
+        footprint=getattr(trace, "footprint", None),
     )
     return summary, trace
 
@@ -600,6 +617,15 @@ class ParallelExplorer:
         #: invariant count the report and metrics publish (which worker
         #: physically held the snapshot is invisible by design).
         self._prefix_hits = 0
+        #: folded outcomes that carry a gate footprint, by ``(constraints,
+        #: seed)``: the attempts :meth:`_equivalent` may answer others
+        #: from.  Filled only at fold points, so every skip decision is a
+        #: function of the exploration schedule, never of ``jobs``.
+        self._footprinted: Dict[Tuple[ConstraintSet, int], AttemptOutcome] = {}
+        #: the stream-id table every held footprint is packed against.
+        self._streams: Dict[Tuple, int] = {}
+        #: attempts answered by :meth:`_equivalent` (jobs-invariant).
+        self._equivalent_skips = 0
         #: folded attempt-cost totals driving auto batch sizing; updated
         #: only at fold points, so they are jobs-invariant too.
         self._folded_attempts = 0
@@ -670,6 +696,7 @@ class ParallelExplorer:
                 supervisor.shutdown(wait=False)
         self.obs.metrics.counter("duplicate_traces").inc(result.duplicate_traces)
         result.prefix_hits = self._prefix_hits
+        result.equivalent_skips = self._equivalent_skips
         return result
 
     # -- supervision ----------------------------------------------------
@@ -858,7 +885,7 @@ class ParallelExplorer:
             # folding the cached outcome must not inherit them.
             self.cache.put(
                 self._cache_key(outcome.constraints, outcome.seed),
-                replace(outcome, spans=()),
+                replace(outcome, spans=(), footprint=None),
             )
 
     def _resume_plan(self, candidate: Candidate) -> Optional[ResumePlan]:
@@ -883,6 +910,31 @@ class ParallelExplorer:
             depth=depth,
             parent_steps=candidate.parent_steps,
         )
+
+    def _equivalent(
+        self, constraints: ConstraintSet, seed: int
+    ) -> Optional[AttemptOutcome]:
+        """The outcome of ``(constraints, seed)``, known without running it.
+
+        Answers when, for some ``x`` in ``constraints`` (canonical
+        order), ``constraints - {x}`` was folded under the same seed and
+        its gate footprint shows ``x`` never binding (see
+        :mod:`repro.core.footprint`): the attempt then repeats that run
+        pick for pick.  Called at batch assembly, in pop order, on
+        uncached attempts only.  The answer keeps the source's footprint,
+        which is this attempt's too, and is folded like a cache hit; its
+        fingerprint is already known, so it is never mined.
+        """
+        held = self._footprinted
+        if not held:
+            return None
+        for constraint in self.context.ordered(constraints):
+            source = held.get((constraints - {constraint}, seed))
+            if source is not None and source.footprint.never_blocks(constraint):
+                self._equivalent_skips += 1
+                self.obs.metrics.counter("parallel.equivalent_skips").inc()
+                return replace(source, constraints=constraints)
+        return None
 
     def _lane_for(self, pid: int) -> int:
         """The timeline lane for spans recorded by ``pid``.
@@ -924,6 +976,8 @@ class ParallelExplorer:
                     continue
                 self.db.mark_tried(constraints, seed)
                 cached = self._cached(constraints, seed)
+                if cached is None:
+                    cached = self._equivalent(constraints, seed)
                 resume = None if cached is not None else self._resume_plan(candidate)
                 batch.append((constraints, seed, cached, resume))
             if not batch:
@@ -1022,6 +1076,13 @@ class ParallelExplorer:
         if new and outcome.candidates is None and self.use_feedback:
             outcome = self._mine_at_fold(outcome)
         self._remember(outcome)
+        if outcome.footprint is not None:
+            # held for the whole session, so packed and stripped of the
+            # (possibly many) mined candidates
+            self._footprinted[(outcome.constraints, outcome.seed)] = replace(
+                outcome, candidates=None, spans=(),
+                footprint=outcome.footprint.pack(self._streams),
+            )
         if new:
             candidates = outcome.candidates or ()
             metrics.counter("candidates_mined").inc(len(candidates))

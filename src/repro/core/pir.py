@@ -28,9 +28,13 @@ import copy
 import enum
 import pickle
 import random
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.constraints import ConstraintGate, OrderConstraint
+from repro.core.constraints import (
+    MEM_OR_LOCK_KINDS,
+    ConstraintGate,
+    OrderConstraint,
+)
 from repro.core.sketches import SketchKind, entry_for_op, visible_kinds
 from repro.core.sketchlog import SketchLog
 from repro.errors import ReplayDivergence
@@ -179,6 +183,10 @@ class PIRScheduler(Scheduler):
         self.gate = ConstraintGate(self.constraints)
         self._chooser = make_chooser(base_policy, base_seed)
         self._seen_events = 0
+        #: per tid, the pending op last noted as allowed in the gate's
+        #: counter (see :mod:`repro.core.footprint`); reset when the tid
+        #: executes, so each pending op is noted once.
+        self._noted: Dict[int, Optional[Op]] = {}
 
     def on_run_start(self, machine: Machine) -> None:
         self.cursor = SketchCursor(self.log)
@@ -186,6 +194,7 @@ class PIRScheduler(Scheduler):
         self._chooser = make_chooser(self.base_policy, self.base_seed)
         self._chooser.restart()
         self._seen_events = 0
+        self._noted = {}
 
     def pick(self, machine: Machine, runnable: Sequence[int]) -> int:
         self._catch_up(machine)
@@ -215,6 +224,13 @@ class PIRScheduler(Scheduler):
                    or "all gated"),
                 step=len(machine.events),
             )
+        noted = self._noted
+        for tid in allowed:
+            op = threads[tid].pending_op
+            if noted.get(tid) is not op:
+                noted[tid] = op
+                if op.kind in MEM_OR_LOCK_KINDS:
+                    self.gate.counter.allow(tid, op, self._seen_events)
         if len(allowed) == 1:
             return allowed[0]
         return self._chooser.choose(allowed)
@@ -238,10 +254,12 @@ class PIRScheduler(Scheduler):
     def _catch_up(self, machine: Machine) -> None:
         """Feed events executed since the last pick to cursor and gate."""
         events = machine.events
+        noted = self._noted
         while self._seen_events < len(events):
             event = events[self._seen_events]
             self._seen_events += 1
             self.gate.observe(event)
+            noted[event.tid] = None
             if self.cursor.exhausted:
                 continue
             expected = self.cursor.entries[self.cursor.position]
@@ -275,6 +293,7 @@ class PIRScheduler(Scheduler):
         for event in machine.events:
             self.gate.observe(event)
         self._seen_events = len(machine.events)
+        self._noted = {}
 
     # -- prefix resume -----------------------------------------------------
 
@@ -283,10 +302,12 @@ class PIRScheduler(Scheduler):
         snapshot taken at the same step.
 
         Everything here is constraint-independent (cursor position,
-        executed-occurrence counts, RNG/chooser state, events consumed):
-        within a child's safe prefix the child makes the very same picks
-        as its parent, so a parent-built snapshot fast-forwards a child
-        scheduler whose gate holds a *larger* constraint set.
+        executed and allowed occurrences, RNG/chooser state, events
+        consumed): within a child's safe prefix the child's gate blocks
+        nothing its parent's did not, so the two make the very same
+        picks from the same allowed sets, and a parent-built snapshot
+        fast-forwards a child scheduler whose gate holds a *larger*
+        constraint set.
 
         With ``serialize=True`` the chooser travels as a pickle blob
         (cheaper to capture; every restore unpickles a fresh copy).
@@ -321,6 +342,7 @@ class PIRScheduler(Scheduler):
         else:
             self._chooser = copy.deepcopy(chooser)
         self._seen_events = seen
+        self._noted = {}
 
     def describe(self) -> str:
         return (

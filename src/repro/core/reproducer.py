@@ -116,6 +116,9 @@ class ReproductionReport:
     #: :mod:`repro.core.prefix`).  Jobs-invariant: ``jobs=1`` resumes
     #: in-process exactly where a pool would.
     prefix_hits: int = 0
+    #: attempts answered from an equivalent folded attempt instead of a
+    #: replay (see :mod:`repro.core.footprint`).  Jobs-invariant.
+    equivalent_skips: int = 0
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
     salvaged_entries: Optional[int] = None
@@ -299,6 +302,7 @@ class Reproducer:
             duplicate_traces=result.duplicate_traces,
             cache_hits=result.cache_hits,
             prefix_hits=result.prefix_hits,
+            equivalent_skips=result.equivalent_skips,
             interrupted=result.interrupted,
             outcome_reason=(
                 _interrupted_reason(result.attempt_count)
@@ -507,8 +511,8 @@ def _walk(
     base seed backs off by ``seed_backoff`` per rung index, and every
     rung shares one attempt cache (``cache``, or a fresh one), so a
     re-walk replays nothing it has already learned.  The rungs' reports
-    merge into one (records in walk order; steps, duplicates and prefix
-    hits summed) that names ``recorded``'s sketch.  ``exhausted(path,
+    merge into one (records in walk order; steps, duplicates, prefix
+    hits and equivalent skips summed) that names ``recorded``'s sketch.  ``exhausted(path,
     attempts)`` words the outcome when no rung reproduces; ``engine``
     holds the :class:`Reproducer` keywords every rung shares.
     """
@@ -517,7 +521,7 @@ def _walk(
     shared_cache = cache if cache is not None else AttemptCache()
     path: List[Any] = []
     records: List[AttemptRecord] = []
-    steps = duplicates = prefix_hits = 0
+    steps = duplicates = prefix_hits = equivalent_skips = 0
     last: Optional[ReproductionReport] = None
     for index, (rung, budget) in enumerate(zip(rungs, budgets)):
         if budget <= 0:
@@ -542,6 +546,7 @@ def _walk(
         steps += last.total_replay_steps
         duplicates += last.duplicate_traces
         prefix_hits += last.prefix_hits
+        equivalent_skips += last.equivalent_skips
         path.append(
             rung.entry(
                 attempts=last.attempts,
@@ -576,6 +581,7 @@ def _walk(
         duplicate_traces=duplicates,
         cache_hits=shared_cache.hits,
         prefix_hits=prefix_hits,
+        equivalent_skips=equivalent_skips,
         winning_sketch=rung.recorded.sketch if won else None,
         outcome_reason=reason,
         interrupted=interrupted,

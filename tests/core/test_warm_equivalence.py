@@ -17,6 +17,7 @@ import pytest
 
 from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
+from repro.bench.speedup import e12_workload
 from repro.core import shm
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
@@ -94,3 +95,15 @@ class TestWarmPoolEquivalence:
         hits = {jobs: r.prefix_hits for jobs, r in reports.items()}
         assert hits[2] == hits[4]
         assert hits[2] > 0, "prefix memoization never engaged"
+
+    def test_equivalent_skips_are_jobs_invariant(self):
+        recorded = e12_workload()
+        config = ExplorerConfig(max_attempts=120, batch_size=4)
+        reports = {
+            jobs: reproduce(recorded, config, jobs=jobs, match_output=True)
+            for jobs in (1, 2)
+        }
+        skips = {jobs: r.equivalent_skips for jobs, r in reports.items()}
+        assert skips[1] == skips[2]
+        assert skips[1] > 0, "no attempt was answered from an equivalent one"
+        assert report_signature(reports[1]) == report_signature(reports[2])

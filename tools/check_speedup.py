@@ -13,7 +13,10 @@ fails (exit 1) when the parallel engine has regressed:
   warm pool must actually beat the in-process engine);
 * the ``pool jobs=4`` arm made no schedule-prefix resumes
   (``prefix_hits == 0``) — the memoization path silently stopped
-  engaging.
+  engaging;
+* the ``serial`` arm answered no attempt from an equivalent folded one
+  (``equivalent_skips == 0``) — the gate-footprint skip silently
+  stopped engaging.
 
 The speedup floor is only enforced when the host really had more usable
 cores than the arm asked for (``meta.host_cpus``); on a starved runner
@@ -33,6 +36,7 @@ from typing import Any, Dict, List
 #: deliberately looser so runner noise cannot flake the build).
 SPEEDUP_FLOOR = 1.5
 GATED_ARM = "pool jobs=4"
+SERIAL_ARM = "serial"
 
 
 def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
@@ -68,6 +72,14 @@ def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
             f"{GATED_ARM}: prefix_hits is 0 — schedule-prefix "
             "memoization never engaged"
         )
+    serial = next((a for a in records if a.get("label") == SERIAL_ARM), None)
+    if serial is None:
+        failures.append(f"artifact has no '{SERIAL_ARM}' arm")
+    elif int(serial.get("equivalent_skips", 0)) <= 0:
+        failures.append(
+            f"{SERIAL_ARM}: equivalent_skips is 0 — no attempt was "
+            "answered from an equivalent folded one"
+        )
     return failures
 
 
@@ -84,6 +96,7 @@ def main(argv: List[str]) -> int:
         print(
             f"  {arm.get('label', '?'):>16}: {arm.get('speedup', 0):>6}x, "
             f"prefix_hits={arm.get('prefix_hits', 0)}, "
+            f"equivalent_skips={arm.get('equivalent_skips', 0)}, "
             f"matches_serial={arm.get('matches_serial')}"
         )
     failures = check(data)
