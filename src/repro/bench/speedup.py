@@ -79,6 +79,8 @@ class SpeedupArm:
     prefix_hits: int = 0
     #: attempts answered from an equivalent folded attempt, unrun.
     equivalent_skips: int = 0
+    #: new executions left unmined because no child could be popped.
+    mine_skips: int = 0
     #: serial wall time / this arm's wall time (1.0 for the serial arm,
     #: the engine at ``jobs=1``).
     speedup: float = 1.0
@@ -95,6 +97,7 @@ class SpeedupArm:
             "cache_hits": self.cache_hits,
             "prefix_hits": self.prefix_hits,
             "equivalent_skips": self.equivalent_skips,
+            "mine_skips": self.mine_skips,
             "speedup": round(self.speedup, 3),
             "matches_serial": self.matches_serial,
         }
@@ -219,6 +222,7 @@ def run_speedup(
             wall_time_s=serial_wall,
             prefix_hits=serial_report.prefix_hits,
             equivalent_skips=serial_report.equivalent_skips,
+            mine_skips=serial_report.mine_skips,
         )
     )
 
@@ -236,6 +240,7 @@ def run_speedup(
                 wall_time_s=wall,
                 prefix_hits=report.prefix_hits,
                 equivalent_skips=report.equivalent_skips,
+                mine_skips=report.mine_skips,
                 speedup=serial_wall / wall if wall > 0 else float("inf"),
                 matches_serial=_same_outcome(report, serial_report),
             )
@@ -259,6 +264,7 @@ def run_speedup(
             cache_hits=warm_report.cache_hits,
             prefix_hits=warm_report.prefix_hits,
             equivalent_skips=warm_report.equivalent_skips,
+            mine_skips=warm_report.mine_skips,
             speedup=cold_wall / warm_wall if warm_wall > 0 else float("inf"),
             matches_serial=_same_outcome(warm_report, serial_report),
         )
@@ -274,6 +280,7 @@ def run_speedup(
             arm.cache_hits,
             arm.prefix_hits,
             arm.equivalent_skips,
+            arm.mine_skips,
             f"{arm.speedup:.2f}x",
             "yes" if arm.matches_serial else "NO",
         ]
@@ -308,8 +315,8 @@ def run_speedup(
             f"cap {max_attempts}, ODR-strict)"
         ),
         headers=["arm", "jobs", "attempts", "success", "wall s",
-                 "cache hits", "prefix hits", "equiv skips", "speedup",
-                 "= serial"],
+                 "cache hits", "prefix hits", "equiv skips", "mine skips",
+                 "speedup", "= serial"],
         rows=rows,
         records=[arm.to_record() for arm in arms],
         meta=meta,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.constraints import ConstraintSet
 from repro.core.feedback import (
@@ -59,6 +59,10 @@ class ExplorationResult:
     #: attempts answered from an equivalent folded attempt instead of a
     #: replay (see :mod:`repro.core.footprint`); jobs-invariant too.
     equivalent_skips: int = 0
+    #: new executions left unmined because the attempt budget could
+    #: never reach their children (see :class:`MiningHorizon`);
+    #: jobs-invariant too.
+    mine_skips: int = 0
     #: True when the search was cut short by a KeyboardInterrupt: the
     #: fields above describe a *partial* exploration, not a verdict.
     interrupted: bool = False
@@ -198,6 +202,70 @@ class Frontier:
         key, _, constraints, seed, candidate = heapq.heappop(self._heap)
         self._last_pop_mined = key[0] >= TIER_MINED
         return constraints, seed, candidate
+
+
+class MiningHorizon:
+    """Which mined tiers the attempt budget can still reach.
+
+    The frontier pops its heap strictly best-first, and a candidate
+    mined from a depth-``d`` attempt has key ``(TIER_MINED, d + 1, ...)``.
+    ``ahead(d)`` counts the distinct untried ``(constraints, seed)``
+    pairs whose best heap entry sorts below that: root and plan entries,
+    and mined entries of depth at most ``d``.  Static-lane entries are
+    not counted; they only add pops, so leaving them out is
+    conservative.  Every counted pair costs one attempt when it pops,
+    so once ``ahead(d) >= max_attempts - issued`` no depth-``d + 1``
+    mined entry is ever popped: tier ``d`` is *closed*, and mining a
+    depth-``d`` attempt is wasted work.
+
+    A closed tier stays closed.  A pop removes at most one counted pair
+    and uses one attempt; a pop of an uncounted pair only uses one; a
+    push only adds.  So a tier closed when an attempt is popped is
+    still closed when it is folded.
+
+    Bookkeeping is O(1) per push and per pop: each pending pair keeps
+    its level (0 for root and plan entries, its depth for mined ones),
+    and ``_counts`` holds the number of pending pairs per level.
+    """
+
+    def __init__(
+        self, max_attempts: int, tried: Callable[[ConstraintSet, int], bool]
+    ) -> None:
+        self._max_attempts = max_attempts
+        self._tried = tried
+        self._issued = 0
+        self._level: Dict[Tuple[ConstraintSet, int], int] = {}
+        self._counts: List[int] = [0]
+
+    def push(self, candidate: Candidate, seed: int) -> None:
+        """Count a frontier push (statics and tried pairs are ignored)."""
+        if candidate.tier == TIER_STATIC:
+            return
+        pair = (candidate.constraints, seed)
+        if self._tried(*pair):
+            return
+        level = candidate.depth if candidate.tier == TIER_MINED else 0
+        held = self._level.get(pair)
+        if held is not None:
+            if held <= level:
+                return
+            self._counts[held] -= 1
+        while len(self._counts) <= level:
+            self._counts.append(0)
+        self._level[pair] = level
+        self._counts[level] += 1
+
+    def issue(self, constraints: ConstraintSet, seed: int) -> None:
+        """Note that an untried pair was popped and will use an attempt."""
+        self._issued += 1
+        level = self._level.pop((constraints, seed), None)
+        if level is not None:
+            self._counts[level] -= 1
+
+    def closed(self, depth: int) -> bool:
+        """True when no child of a depth-``depth`` attempt can be popped."""
+        ahead = sum(self._counts[: depth + 1])
+        return ahead >= self._max_attempts - self._issued
 
 
 def _classify(trace: Trace, matched: bool) -> Tuple[str, str]:

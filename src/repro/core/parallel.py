@@ -35,12 +35,16 @@ is the one the retired serial explorer walked; its report signatures are
 frozen in ``tests/fixtures/serial_signatures.json`` and the engine is
 held to them at ``jobs=1`` and ``jobs=2``.
 
-Mining happens at most once per new execution.  An attempt evaluated
-in this process comes back unmined (``candidates=None``) with its trace
+Mining happens at most once per new execution, and only where the
+attempt budget can still reach the children.  An attempt evaluated in
+this process comes back unmined (``candidates=None``) with its trace
 kept until the fold, and the fold mines it only if its fingerprint is
-new; a duplicate's candidates would be discarded anyway.  Pool workers
-cannot see fold order, so they mine every attempt before shipping it
-back.  Every attempt with a mined parent may resume from that parent's
+new and its tier is not closed (see
+:class:`~repro.core.explorer.MiningHorizon`); a duplicate's candidates
+would be discarded anyway, and a closed tier's could never be popped.
+Pool workers cannot see fold order, so they mine every attempt whose
+tier was still open when it was popped.  Every attempt with a mined
+parent may resume from that parent's
 prefix snapshot, and its race sweep from the parent's sweep checkpoint
 at the same rung (see :mod:`repro.core.prefix`) — in-process at
 ``jobs=1`` as in the workers.
@@ -87,6 +91,7 @@ from repro.core.explorer import (
     ExplorationResult,
     ExplorerConfig,
     Frontier,
+    MiningHorizon,
     _classify,
     plan_candidates,
     static_candidates,
@@ -193,7 +198,8 @@ class AttemptOutcome:
     #: empty for a matched attempt, which the search never dedups.
     fingerprint: str
     #: None for a failed attempt not mined (yet): the feedback search
-    #: mines it at fold time if its execution turns out to be new.
+    #: mines it at fold time if its execution turns out to be new and
+    #: its tier open.
     candidates: Optional[Tuple[Candidate, ...]] = ()
     schedule: Optional[Tuple[int, ...]] = None
     #: spans recorded while evaluating this attempt (tracing only);
@@ -207,6 +213,14 @@ class AttemptOutcome:
     footprint: Optional[Union[GateFootprint, PackedFootprint]] = field(
         default=None, compare=False
     )
+
+
+#: one batch task: ``(constraints, seed, cached, mine, resume)``.  A
+#: cached (or equivalent) outcome is folded without running; ``mine``
+#: tells a pool worker whether the attempt's tier was open at pop time.
+_Task = Tuple[
+    ConstraintSet, int, Optional[AttemptOutcome], bool, Optional[ResumePlan]
+]
 
 
 def run_attempt(
@@ -291,9 +305,10 @@ def evaluate_attempt(
 ) -> AttemptOutcome:
     """Run one attempt and summarize it as a picklable outcome.
 
-    This is the pool worker's entry point, and it mines eagerly: a
-    worker cannot see whether the fold will find the execution new, and
-    the (potentially large) trace never crosses the process boundary.
+    This is the pool worker's entry point, and it mines eagerly unless
+    told the attempt's tier is closed: a worker cannot see whether the
+    fold will find the execution new, and the (potentially large) trace
+    never crosses the process boundary.
     A matched attempt skips mining and fingerprinting — the search stops
     at it anyway — and carries the winning schedule instead.
     """
@@ -626,6 +641,15 @@ class ParallelExplorer:
         self._streams: Dict[Tuple, int] = {}
         #: attempts answered by :meth:`_equivalent` (jobs-invariant).
         self._equivalent_skips = 0
+        #: the feedback search's reachable-tier bookkeeping; None until
+        #: :meth:`_explore_feedback` starts (the ablation never mines).
+        self._horizon: Optional[MiningHorizon] = None
+        #: depths of the plan and static seeds: the pre-seeded attempts
+        #: :meth:`_equivalent` may still look up a closed tier's
+        #: footprints for.
+        self._seeded_depths: FrozenSet[int] = frozenset()
+        #: new executions left unmined because their tier was closed.
+        self._mine_skips = 0
         #: folded attempt-cost totals driving auto batch sizing; updated
         #: only at fold points, so they are jobs-invariant too.
         self._folded_attempts = 0
@@ -697,6 +721,7 @@ class ParallelExplorer:
         self.obs.metrics.counter("duplicate_traces").inc(result.duplicate_traces)
         result.prefix_hits = self._prefix_hits
         result.equivalent_skips = self._equivalent_skips
+        result.mine_skips = self._mine_skips
         return result
 
     # -- supervision ----------------------------------------------------
@@ -713,7 +738,7 @@ class ParallelExplorer:
             self.supervise,
             obs=self.obs,
             pool_factory=self._make_pool,
-            dispatch=lambda pool, constraints, seed, mine, resume=None: (
+            dispatch=lambda pool, constraints, seed, mine, resume: (
                 pool.submit(
                     _worker_run,
                     (self._session_token, constraints, seed, mine, resume),
@@ -833,11 +858,7 @@ class ParallelExplorer:
         return outcome
 
     def _evaluate_batch(
-        self,
-        supervisor: Supervisor,
-        tasks: Sequence[
-            Tuple[ConstraintSet, int, Optional[AttemptOutcome], Optional[ResumePlan]]
-        ],
+        self, supervisor: Supervisor, tasks: Sequence[_Task]
     ) -> List[AttemptOutcome]:
         """Evaluate one batch, returning outcomes in canonical pop order.
 
@@ -852,7 +873,7 @@ class ParallelExplorer:
             "batch", category="explore", size=len(tasks),
             first_attempt=self._folded_attempts,
         ):
-            return supervisor.evaluate_batch(tasks, self.use_feedback)
+            return supervisor.evaluate_batch(tasks)
 
     def _cache_key(self, constraints: ConstraintSet, seed: int) -> Tuple:
         return AttemptCache.key_for(
@@ -958,16 +979,18 @@ class ParallelExplorer:
         config = self.config
         metrics = self.obs.metrics
         frontier = Frontier()
+        horizon = self._horizon = MiningHorizon(config.max_attempts, self.db.tried)
         restarts_used = 0
-        push = frontier.push
+
+        def push(candidate: Candidate, seed: int) -> None:
+            frontier.push(candidate, seed)
+            horizon.push(candidate, seed)
 
         self._seed(push)
 
         while result.attempt_count < config.max_attempts:
             # Assemble the next batch in canonical best-first order.
-            batch: List[
-                Tuple[ConstraintSet, int, Optional[AttemptOutcome], Optional[ResumePlan]]
-            ] = []
+            batch: List[_Task] = []
             budget_left = config.max_attempts - result.attempt_count
             want = min(self.batch_size, budget_left)
             while len(batch) < want and frontier:
@@ -975,11 +998,14 @@ class ParallelExplorer:
                 if self.db.tried(constraints, seed):
                     continue
                 self.db.mark_tried(constraints, seed)
+                horizon.issue(constraints, seed)
                 cached = self._cached(constraints, seed)
                 if cached is None:
                     cached = self._equivalent(constraints, seed)
                 resume = None if cached is not None else self._resume_plan(candidate)
-                batch.append((constraints, seed, cached, resume))
+                # closed now means closed at the fold: a worker need not mine
+                mine = not horizon.closed(len(constraints))
+                batch.append((constraints, seed, cached, mine, resume))
             if not batch:
                 restarts_used += 1
                 if restarts_used > config.seed_restarts:
@@ -1019,6 +1045,9 @@ class ParallelExplorer:
             if c.constraints not in self._plan_seeded
         ]
         self._static_seeded = frozenset(c.constraints for c in statics)
+        self._seeded_depths = frozenset(
+            len(c) for c in self._plan_seeded | self._static_seeded
+        )
         for candidate in plans + statics:
             push(candidate, config.base_seed)
         if plans:
@@ -1073,17 +1102,32 @@ class ParallelExplorer:
                 result.cache_hits = self.cache.hits
             return True
         new = self.db.record_fingerprint(outcome.fingerprint)
-        if new and outcome.candidates is None and self.use_feedback:
+        depth = len(outcome.constraints)
+        closed = self.use_feedback and self._horizon.closed(depth)
+        if new and closed:
+            # no child of this attempt can be popped: drop it unmined
+            self._mine_skips += 1
+            metrics.counter("parallel.mine_skips").inc()
+            self._local_traces.pop((outcome.constraints, outcome.seed), None)
+            outcome = replace(outcome, candidates=None)
+        elif new and outcome.candidates is None and self.use_feedback:
             outcome = self._mine_at_fold(outcome)
         self._remember(outcome)
-        if outcome.footprint is not None:
-            # held for the whole session, so packed and stripped of the
-            # (possibly many) mined candidates
+        if (
+            outcome.footprint is not None
+            and self.use_feedback
+            and (not closed or depth + 1 in self._seeded_depths)
+        ):
+            # Only a popped attempt one constraint deeper looks this
+            # footprint up (and only in the feedback search); in a
+            # closed tier only a plan or static seed can still be one.
+            # Held for the whole session, so packed and stripped of the
+            # (possibly many) mined candidates.
             self._footprinted[(outcome.constraints, outcome.seed)] = replace(
                 outcome, candidates=None, spans=(),
                 footprint=outcome.footprint.pack(self._streams),
             )
-        if new:
+        if new and not closed:
             candidates = outcome.candidates or ()
             metrics.counter("candidates_mined").inc(len(candidates))
             for candidate in candidates:
@@ -1095,11 +1139,13 @@ class ParallelExplorer:
     def _mine_at_fold(self, outcome: AttemptOutcome) -> AttemptOutcome:
         """``outcome`` with the candidates of its new execution mined.
 
-        An attempt evaluated in this process left its trace behind.  An
-        unmined outcome from the cache was stored by a search that had
-        no use for its candidates — one without feedback, or one that
-        folded it as a duplicate (say, under another batch size); attempts
-        are pure, so re-running it in-process reconstructs its trace.
+        Called only for an open tier.  An attempt evaluated in this
+        process left its trace behind.  An unmined outcome from the cache
+        was stored by a search that had no use for its candidates — one
+        without feedback, one that folded it as a duplicate (say, under
+        another batch size), or one in which its tier was closed;
+        attempts are pure, so re-running it in-process reconstructs its
+        trace.
         """
         constraints, seed = outcome.constraints, outcome.seed
         trace = self._local_traces.pop((constraints, seed), None)
@@ -1145,7 +1191,7 @@ class ParallelExplorer:
             batch = []
             for offset in range(size):
                 seed = config.base_seed + next_index + offset
-                batch.append((_EMPTY, seed, self._cached(_EMPTY, seed), None))
+                batch.append((_EMPTY, seed, self._cached(_EMPTY, seed), False, None))
             next_index += size
             for outcome in self._evaluate_batch(supervisor, batch):
                 if self._fold(result, outcome, lambda *_: None):

@@ -119,6 +119,10 @@ class ReproductionReport:
     #: attempts answered from an equivalent folded attempt instead of a
     #: replay (see :mod:`repro.core.footprint`).  Jobs-invariant.
     equivalent_skips: int = 0
+    #: new executions left unmined because the attempt budget could
+    #: never reach their children (see
+    #: :class:`~repro.core.explorer.MiningHorizon`).  Jobs-invariant.
+    mine_skips: int = 0
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
     salvaged_entries: Optional[int] = None
@@ -303,6 +307,7 @@ class Reproducer:
             cache_hits=result.cache_hits,
             prefix_hits=result.prefix_hits,
             equivalent_skips=result.equivalent_skips,
+            mine_skips=result.mine_skips,
             interrupted=result.interrupted,
             outcome_reason=(
                 _interrupted_reason(result.attempt_count)
@@ -512,16 +517,17 @@ def _walk(
     rung shares one attempt cache (``cache``, or a fresh one), so a
     re-walk replays nothing it has already learned.  The rungs' reports
     merge into one (records in walk order; steps, duplicates, prefix
-    hits and equivalent skips summed) that names ``recorded``'s sketch.  ``exhausted(path,
-    attempts)`` words the outcome when no rung reproduces; ``engine``
-    holds the :class:`Reproducer` keywords every rung shares.
+    hits, equivalent skips and mine skips summed) that names
+    ``recorded``'s sketch.  ``exhausted(path, attempts)`` words the
+    outcome when no rung reproduces; ``engine`` holds the
+    :class:`Reproducer` keywords every rung shares.
     """
     metrics = session.metrics
     budgets = split_rung_budgets(config.max_attempts, len(rungs))
     shared_cache = cache if cache is not None else AttemptCache()
     path: List[Any] = []
     records: List[AttemptRecord] = []
-    steps = duplicates = prefix_hits = equivalent_skips = 0
+    steps = duplicates = prefix_hits = equivalent_skips = mine_skips = 0
     last: Optional[ReproductionReport] = None
     for index, (rung, budget) in enumerate(zip(rungs, budgets)):
         if budget <= 0:
@@ -547,6 +553,7 @@ def _walk(
         duplicates += last.duplicate_traces
         prefix_hits += last.prefix_hits
         equivalent_skips += last.equivalent_skips
+        mine_skips += last.mine_skips
         path.append(
             rung.entry(
                 attempts=last.attempts,
@@ -582,6 +589,7 @@ def _walk(
         cache_hits=shared_cache.hits,
         prefix_hits=prefix_hits,
         equivalent_skips=equivalent_skips,
+        mine_skips=mine_skips,
         winning_sketch=rung.recorded.sketch if won else None,
         outcome_reason=reason,
         interrupted=interrupted,

@@ -131,9 +131,9 @@ class _Fault:
 _INLINE = None
 
 #: one batch task as the engine assembles it: ``(constraints, seed,
-#: cached, *extras)``.  Extras (e.g. a prefix-resume plan) are passed
-#: through to ``dispatch``/``inline`` untouched; three-element tasks —
-#: the original shape, still used by stub-based tests — carry none.
+#: cached, *extras)``.  Extras (the engine's per-task mine flag and
+#: prefix-resume plan) are passed through to ``dispatch``/``inline``
+#: untouched; three-element tasks carry none.
 Task = Tuple[Any, ...]
 
 
@@ -150,11 +150,11 @@ class Supervisor:
     :param pool_factory: zero-argument callable building a fresh worker
         pool, or returning ``None`` when pooling is unavailable (the
         supervisor then runs everything through ``inline``).
-    :param dispatch: ``(pool, constraints, seed, mine, *extras) ->
-        Future`` submitting one attempt to a pool.  ``extras`` are the
-        task elements beyond the first three, forwarded verbatim on
-        every (re)dispatch.
-    :param inline: ``(constraints, seed, mine, *extras) -> outcome``
+    :param dispatch: ``(pool, constraints, seed, *extras) -> Future``
+        submitting one attempt to a pool.  ``extras`` are the task
+        elements beyond the first three, forwarded verbatim on every
+        (re)dispatch.
+    :param inline: ``(constraints, seed, *extras) -> outcome``
         evaluating one attempt in-process — the deterministic escape
         hatch every supervision path bottoms out in.
     :param max_attempts: the exploration attempt budget, used to size
@@ -235,7 +235,7 @@ class Supervisor:
 
     # -- batch evaluation ------------------------------------------------
 
-    def evaluate_batch(self, tasks: Sequence[Task], mine: bool) -> List[Any]:
+    def evaluate_batch(self, tasks: Sequence[Task]) -> List[Any]:
         """Evaluate one batch, returning outcomes in pop order.
 
         Preserves the engine's deterministic merge semantics exactly:
@@ -246,10 +246,10 @@ class Supervisor:
         self._chaos_tick()
         pool = self._ensure_pool()
         if pool is None:
-            return self._evaluate_inline(tasks, mine)
-        return self._evaluate_pooled(tasks, mine)
+            return self._evaluate_inline(tasks)
+        return self._evaluate_pooled(tasks)
 
-    def _evaluate_inline(self, tasks: Sequence[Task], mine: bool) -> List[Any]:
+    def _evaluate_inline(self, tasks: Sequence[Task]) -> List[Any]:
         outcomes: List[Any] = []
         for constraints, seed, cached, *extras in tasks:
             if cached is not None:
@@ -258,19 +258,17 @@ class Supervisor:
                 # Chaos faults are simulated (charged + retried) even
                 # in-process, so injection accounting is jobs-invariant.
                 self._simulate_chaos(constraints, seed)
-                outcome = self._inline(constraints, seed, mine, *extras)
+                outcome = self._inline(constraints, seed, *extras)
             outcomes.append(outcome)
             if outcome.matched:
                 break
         return outcomes
 
-    def _evaluate_pooled(self, tasks: Sequence[Task], mine: bool) -> List[Any]:
+    def _evaluate_pooled(self, tasks: Sequence[Task]) -> List[Any]:
         slots: Dict[int, Any] = {}
         for index, (constraints, seed, cached, *extras) in enumerate(tasks):
             if cached is None:
-                slots[index] = self._submit(
-                    constraints, seed, mine, tries=0, extras=extras
-                )
+                slots[index] = self._submit(constraints, seed, tries=0, extras=extras)
         outcomes: List[Any] = []
         matched_at: Optional[int] = None
         for index, (constraints, seed, cached, *_extras) in enumerate(tasks):
@@ -282,7 +280,7 @@ class Supervisor:
             if cached is not None:
                 outcome = cached
             else:
-                outcome = self._resolve(index, tasks, slots, mine)
+                outcome = self._resolve(index, tasks, slots)
             outcomes.append(outcome)
             if outcome.matched:
                 matched_at = index
@@ -292,7 +290,6 @@ class Supervisor:
         self,
         constraints: Any,
         seed: int,
-        mine: bool,
         tries: int,
         extras: Sequence[Any] = (),
     ) -> Any:
@@ -309,12 +306,12 @@ class Supervisor:
         if self.pool is None:
             return _INLINE
         try:
-            return self._dispatch(self.pool, constraints, seed, mine, *extras)
+            return self._dispatch(self.pool, constraints, seed, *extras)
         except Exception:  # broken/shut-down pool at submit time
             return _Fault("crash", chaos=False)
 
     def _resolve(
-        self, index: int, tasks: Sequence[Task], slots: Dict[int, Any], mine: bool
+        self, index: int, tasks: Sequence[Task], slots: Dict[int, Any]
     ) -> Any:
         """Drive one slot to an outcome, absorbing faults along the way."""
         constraints, seed, _cached, *extras = tasks[index]
@@ -332,7 +329,7 @@ class Supervisor:
                     fault = _Fault("hang", chaos=False)
                 except BrokenExecutor:
                     fault = _Fault("crash", chaos=False)
-                    self._pool_broken(tasks, slots, mine, skip=index)
+                    self._pool_broken(tasks, slots, skip=index)
                 except Exception:
                     # A genuine error raised *by the attempt itself* —
                     # re-raise it deterministically from the in-process
@@ -344,11 +341,11 @@ class Supervisor:
                 self._charge_inline_fallback(seed)
                 break
             time.sleep(backoff_delay(self.config, tries))
-            slot = self._submit(constraints, seed, mine, tries, extras=extras)
-        return self._inline(constraints, seed, mine, *extras)
+            slot = self._submit(constraints, seed, tries, extras=extras)
+        return self._inline(constraints, seed, *extras)
 
     def _pool_broken(
-        self, tasks: Sequence[Task], slots: Dict[int, Any], mine: bool, skip: int
+        self, tasks: Sequence[Task], slots: Dict[int, Any], skip: int
     ) -> None:
         """React to a dead pool: rebuild it (or go serial) and re-dispatch.
 
@@ -399,7 +396,7 @@ class Supervisor:
             else:
                 constraints, seed, _cached, *extras = tasks[other]
                 slots[other] = self._submit(
-                    constraints, seed, mine, tries=0, extras=extras
+                    constraints, seed, tries=0, extras=extras
                 )
 
     # -- chaos -----------------------------------------------------------

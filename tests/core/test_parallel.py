@@ -17,7 +17,7 @@ from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
 from repro.bench.speedup import e12_workload
 from repro.core.explorer import ExplorerConfig
-from repro.core.feedback import AttemptCache, FeedbackGenerator
+from repro.core.feedback import AttemptCache, FeedbackGenerator, trace_fingerprint
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
 from repro.core.sketches import SketchKind
@@ -187,7 +187,9 @@ class TestPoolFallback:
 
 class TestLazyMining:
     """In-process evaluation mines an attempt only when its execution is
-    new: one mining pass per non-duplicate, unmatched attempt."""
+    new and its tier is open: one mining pass per non-duplicate,
+    unmatched attempt whose children the budget can reach, and none
+    twice."""
 
     @staticmethod
     def _count_mining(monkeypatch):
@@ -201,6 +203,10 @@ class TestLazyMining:
         monkeypatch.setattr(FeedbackGenerator, "candidates", counted)
         return calls
 
+    @staticmethod
+    def _mined_once(calls):
+        return len({trace_fingerprint(trace) for trace in calls}) == len(calls)
+
     def test_e12_mines_each_new_execution_once(self, monkeypatch):
         recorded = e12_workload()
         calls = self._count_mining(monkeypatch)
@@ -209,10 +215,13 @@ class TestLazyMining:
             match_output=True, jobs=1,
         )
         assert report.attempts == 40 and report.duplicate_traces > 0
+        assert report.mine_skips > 0
         matched = 1 if report.success else 0
         assert len(calls) == (
             report.attempts - report.duplicate_traces - matched
+            - report.mine_skips
         )
+        assert self._mined_once(calls)
 
     def test_a_matched_search_mines_neither_duplicates_nor_the_winner(
         self, monkeypatch
@@ -221,4 +230,8 @@ class TestLazyMining:
         calls = self._count_mining(monkeypatch)
         report = reproduce(recorded, ExplorerConfig(max_attempts=25), jobs=1)
         assert report.success and report.duplicate_traces > 0
-        assert len(calls) == report.attempts - report.duplicate_traces - 1
+        assert report.mine_skips > 0
+        assert len(calls) == (
+            report.attempts - report.duplicate_traces - 1 - report.mine_skips
+        )
+        assert self._mined_once(calls)

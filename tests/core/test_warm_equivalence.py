@@ -23,6 +23,7 @@ from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
 from repro.core.reproducer import reproduce
 from repro.core.sketches import SketchKind
+from repro.obs.session import ObsSession
 from repro.robust.runs import report_signature
 from repro.robust.supervise import SuperviseConfig
 from repro.sim import MachineConfig
@@ -107,3 +108,25 @@ class TestWarmPoolEquivalence:
         assert skips[1] == skips[2]
         assert skips[1] > 0, "no attempt was answered from an equivalent one"
         assert report_signature(reports[1]) == report_signature(reports[2])
+
+    def test_mining_horizon_is_jobs_invariant(self):
+        # A pool worker is told at pop time whether to mine; the fold
+        # decides what is pushed and counted, so the counts match jobs=1.
+        recorded = e12_workload()
+        config = ExplorerConfig(max_attempts=120, batch_size=4)
+        seen = {}
+        for jobs in (1, 2):
+            obs = ObsSession.create(trace=False, metrics=True)
+            report = reproduce(
+                recorded, config, jobs=jobs, match_output=True, obs=obs
+            )
+            snapshot = obs.metrics.snapshot()
+            seen[jobs] = (
+                report.mine_skips,
+                snapshot["counters"]["parallel.mine_skips"],
+                snapshot["counters"]["candidates_mined"],
+                snapshot["gauges"]["frontier_peak"],
+                report_signature(report),
+            )
+        assert seen[1] == seen[2]
+        assert seen[1][0] == seen[1][1] > 0, "no tier ever closed"

@@ -1,8 +1,8 @@
 """Warm store reads at another batch size than the store was written at.
 
 An in-process (``jobs=1``) run mines an attempt only when the fold finds
-its execution new, so the store holds duplicates unmined
-(``"candidates": null``).  A warm run at another batch size folds in
+its execution new and its tier open, so the store holds duplicates and
+closed-tier executions unmined (``"candidates": null``).  A warm run at another batch size folds in
 another order, so an outcome stored unmined may be new there: the
 engine re-runs it in-process and mines it.  Either way the warm report
 is the one a store-less run at the same settings gives.
@@ -81,8 +81,11 @@ class TestCrossBatchWarmStore:
         store_dir = str(tmp_path / "store")
         cold = reproduce(recorded, CONFIG, jobs=1, store=store_dir)
         assert report_signature(cold) == SERIAL[bug_id]["feedback"]
-        # duplicates were never mined, and are stored that way
-        assert _unmined_records(store_dir) == cold.duplicate_traces
+        # duplicates and closed-tier executions were never mined, and
+        # are stored that way
+        assert _unmined_records(store_dir) == (
+            cold.duplicate_traces + cold.mine_skips
+        )
         _warm_reads(recorded, store_dir)
 
     def test_unmined_outcomes_that_are_new_are_remined(self, tmp_path):

@@ -9,9 +9,10 @@ sys.path.insert(0, str(ROOT / "tools"))
 import check_speedup  # noqa: E402  (path set up above)
 
 
-def _artifact(serial_skips=120, pool_hits=160):
+def _artifact(serial_skips=120, pool_hits=160, serial_mine_skips=77):
     arm = {"jobs": 1, "matches_serial": True, "speedup": 1.0,
-           "prefix_hits": 160, "equivalent_skips": serial_skips}
+           "prefix_hits": 160, "equivalent_skips": serial_skips,
+           "mine_skips": serial_mine_skips}
     return {
         "meta": {"host_cpus": 2},
         "records": [
@@ -33,3 +34,8 @@ def test_a_serial_arm_without_equivalent_skips_fails():
 def test_a_pool_arm_without_prefix_hits_still_fails():
     failures = check_speedup.check(_artifact(pool_hits=0))
     assert len(failures) == 1 and "prefix_hits is 0" in failures[0]
+
+
+def test_a_serial_arm_without_mine_skips_fails():
+    failures = check_speedup.check(_artifact(serial_mine_skips=0))
+    assert len(failures) == 1 and "mine_skips is 0" in failures[0]

@@ -16,7 +16,10 @@ fails (exit 1) when the parallel engine has regressed:
   engaging;
 * the ``serial`` arm answered no attempt from an equivalent folded one
   (``equivalent_skips == 0``) — the gate-footprint skip silently
-  stopped engaging.
+  stopped engaging;
+* the ``serial`` arm left no execution unmined (``mine_skips == 0``) —
+  the mining horizon silently stopped closing tiers, though the E12
+  walk runs out of budget inside depth 3.
 
 The speedup floor is only enforced when the host really had more usable
 cores than the arm asked for (``meta.host_cpus``); on a starved runner
@@ -75,11 +78,17 @@ def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
     serial = next((a for a in records if a.get("label") == SERIAL_ARM), None)
     if serial is None:
         failures.append(f"artifact has no '{SERIAL_ARM}' arm")
-    elif int(serial.get("equivalent_skips", 0)) <= 0:
-        failures.append(
-            f"{SERIAL_ARM}: equivalent_skips is 0 — no attempt was "
-            "answered from an equivalent folded one"
-        )
+    else:
+        if int(serial.get("equivalent_skips", 0)) <= 0:
+            failures.append(
+                f"{SERIAL_ARM}: equivalent_skips is 0 — no attempt was "
+                "answered from an equivalent folded one"
+            )
+        if int(serial.get("mine_skips", 0)) <= 0:
+            failures.append(
+                f"{SERIAL_ARM}: mine_skips is 0 — no tier the budget "
+                "cannot reach was left unmined"
+            )
     return failures
 
 
@@ -97,6 +106,7 @@ def main(argv: List[str]) -> int:
             f"  {arm.get('label', '?'):>16}: {arm.get('speedup', 0):>6}x, "
             f"prefix_hits={arm.get('prefix_hits', 0)}, "
             f"equivalent_skips={arm.get('equivalent_skips', 0)}, "
+            f"mine_skips={arm.get('mine_skips', 0)}, "
             f"matches_serial={arm.get('matches_serial')}"
         )
     failures = check(data)
